@@ -2,10 +2,10 @@
 
 The E11 reality check routes every superstep of a folded trace on a
 concrete topology.  Before the columnar routing engine, each message was
-walked edge by edge in Python; now each superstep's endpoint batch goes
-through one whole-array kernel (interval-delta cumsum / level-synchronous
-ascent) and whole traces are routed in a single pass over their columnar
-superstep ranges.  This bench times both paths on the same trace-scale
+walked edge by edge in Python; now whole traces go through each
+topology's one fused kernel, ``route_loads_multi`` (interval-delta
+cumsum / level-synchronous ascent over flat (superstep, edge) keys), in
+cache-sized superstep chunks.  This bench times both paths on the same trace-scale
 workload across every shipped topology, asserts they produce identical
 totals, and doubles as the perf tripwire for ``BENCH_baseline.json``
 (``record_baseline.py`` records the vectorized and reference seconds and
@@ -95,8 +95,9 @@ def run_sweep_reference(cfg=SCALE, workload=None):
             if rec.src.size == 0:
                 total += 1.0
                 continue
-            loads, dil = topo.route_loads_reference(rec.src, rec.dst)
-            total += float((loads / caps).max()) + dil + 1.0
+            seg = np.zeros(rec.src.size, dtype=np.int64)
+            loads, dil = topo.route_loads_multi_reference(rec.src, rec.dst, seg, 1)
+            total += float((loads[0] / caps).max()) + int(dil[0]) + 1.0
         rows.append([topo.name, round(total, 1)])
     return rows
 

@@ -1,15 +1,12 @@
-"""E18 — plan-executor throughput: fused grid runner vs legacy serial sweep.
+"""E18 — plan-executor throughput: serial grid runner vs worker pools.
 
 A portability study is a grid: one trace priced on every (topology,
-policy, p) cell.  This bench runs a 24-cell grid five ways:
+policy, p) cell.  This bench runs a 24-cell grid four ways:
 
-* ``run_sweep`` — ``ExperimentPlan.run(executor="serial")``: the new
-  engine, cells routed by the fused multi-superstep kernels;
+* ``run_sweep`` — ``ExperimentPlan.run(executor="serial")``: cells
+  routed by the fused multi-superstep kernels;
 * ``run_sweep_parallel`` — the same plan on the ``process`` worker pool
   (fork; prepared trace and warm fold caches inherited copy-on-write);
-* ``run_sweep_legacy`` — the pre-plan path: per-superstep loop routing
-  (the fused gate forced off), cell by cell, the way ``network_sweep``
-  priced grids before the experiment API;
 * ``run_sweep_shm`` — the persistent zero-copy worker pool
   (``SharedMemoryBackend``, pool forced on so single-CPU recordings
   measure the real dispatch path rather than the serial downgrade);
@@ -26,8 +23,7 @@ policy, p) cell.  This bench runs a 24-cell grid five ways:
   shm pool.  The dedup + sim-fusion win is hardware-independent.
 
 All executor paths must produce bit-identical cell values.
-``record_baseline.py`` records the timings; the headline ratios are
-plan-vs-legacy (the fused engine win, hardware-independent) and
+``record_baseline.py`` records the timings; the headline ratio is
 store-warm-vs-cold (the caching win), while the pool ratios reflect
 however many cores the host actually grants (1 core => ~1x or below).
 """
@@ -46,10 +42,9 @@ from repro.machine.folding import clear_fold_cache
 from repro.networks import clear_route_cache
 from repro.util.caches import clear_caches
 
-#: The (n,1)-stencil is the many-small-supersteps regime the fused
-#: router targets (n=256 folds to ~1200 supersteps of a few hundred
-#: messages each) — the workload where per-superstep loop overhead
-#: dominated E11-style sweeps.
+#: The (n,1)-stencil is the many-small-supersteps regime (n=256 folds to
+#: ~1200 supersteps of a few hundred messages each), where the router's
+#: chunked whole-trace kernel calls replace per-superstep overhead.
 SCALE = dict(algorithm="stencil1d", n=256, ps=(16, 32, 64))
 QUICK = dict(algorithm="stencil1d", n=64, ps=(8, 16))
 
@@ -93,19 +88,6 @@ def run_sweep_parallel(cfg=SCALE):
     """Worker-pool (fork) plan executor, cold caches in every child."""
     _cold()
     return _plan(cfg).run(executor="process", max_workers=4)
-
-
-def run_sweep_legacy(cfg=SCALE):
-    """The pre-plan serial path: per-superstep loop routing, cell by cell."""
-    import repro.networks.routing as routing
-
-    _cold()
-    saved = routing._FUSED_MAX_CELLS
-    routing._FUSED_MAX_CELLS = 0  # force the per-superstep loop
-    try:
-        return _plan(cfg).run(executor="serial")
-    finally:
-        routing._FUSED_MAX_CELLS = saved
 
 
 def run_sweep_shm(cfg=SCALE):
@@ -211,7 +193,7 @@ def run_sweep_dag_shm(quick: bool = False):
 def test_e18_plan_executor(benchmark, quick):
     cfg = QUICK if quick else SCALE
 
-    def all_three():
+    def both():
         _plan(cfg)  # emit the source trace outside every timed region
         t0 = time.perf_counter()
         serial = run_sweep(cfg)
@@ -219,40 +201,31 @@ def test_e18_plan_executor(benchmark, quick):
         t0 = time.perf_counter()
         parallel = run_sweep_parallel(cfg)
         t_parallel = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        legacy = run_sweep_legacy(cfg)
-        t_legacy = time.perf_counter() - t0
-        return serial, parallel, legacy, t_serial, t_parallel, t_legacy
+        return serial, parallel, t_serial, t_parallel
 
-    serial, parallel, legacy, t_serial, t_parallel, t_legacy = benchmark.pedantic(
-        all_three, rounds=1, iterations=1
+    serial, parallel, t_serial, t_parallel = benchmark.pedantic(
+        both, rounds=1, iterations=1
     )
     cells = len(serial)
     assert cells >= (8 if quick else 24)
-    # Executors and engines must agree bit-for-bit on every cell.
+    # Executors must agree bit-for-bit on every cell.
     assert serial.rows == parallel.rows
-    assert serial.rows == legacy.rows
 
-    vs_legacy = t_legacy / t_serial if t_serial > 0 else float("inf")
     vs_serial = t_serial / t_parallel if t_parallel > 0 else float("inf")
     routed = serial.column("routed_time")
     rows = [
         ["cells", cells, "-"],
-        ["serial (fused)", round(t_serial, 3), "1.0x"],
+        ["serial", round(t_serial, 3), "1.0x"],
         ["worker pool", round(t_parallel, 3), f"{vs_serial:.2f}x vs serial"],
-        ["legacy loop", round(t_legacy, 3), f"{vs_legacy:.2f}x slower than fused"],
         ["sum routed_time", round(float(np.sum(routed)), 1), "-"],
     ]
     emit_table(
         "e18_plan_executor",
-        f"E18  {cells}-cell grid: fused serial {t_serial:.3f}s, "
-        f"pool {t_parallel:.3f}s, legacy {t_legacy:.3f}s",
+        f"E18  {cells}-cell grid: serial {t_serial:.3f}s, "
+        f"pool {t_parallel:.3f}s",
         ["path", "seconds", "ratio"],
         rows,
     )
-    if not quick:
-        # The new engine must beat the legacy per-superstep serial path.
-        assert vs_legacy > 1.2, f"fused plan only {vs_legacy:.2f}x vs legacy"
 
 
 def test_e18_shm_and_store(benchmark, quick):

@@ -8,7 +8,8 @@ them into ``BENCH_baseline.json`` at the repo root under a tag::
 
 Tags accumulate — recording ``before`` on one commit and ``after`` on the
 next gives the PR's perf trajectory its data points.  ``speedup_vs_before``
-is recomputed whenever both tags are present.
+is recomputed whenever both tags are present.  Every timed entry is
+stored with the host's ``os.cpu_count()`` under the tag's ``cpu_count``.
 
 ``--compare`` re-times the workloads without writing and exits nonzero
 when any recorded workload regresses by more than 20% against the
@@ -44,7 +45,6 @@ WORKLOADS = [
     ("bench_e17_routing_kernels", "run_sweep_reference", "e17_routing_reference"),
     ("bench_e18_plan_executor", "run_sweep", "e18_plan_serial"),
     ("bench_e18_plan_executor", "run_sweep_parallel", "e18_plan_workerpool"),
-    ("bench_e18_plan_executor", "run_sweep_legacy", "e18_plan_legacy_loop"),
     ("bench_e18_plan_executor", "run_sweep_shm", "e18_plan_shm"),
     ("bench_e18_plan_executor", "run_sweep_store_cold", "e18_plan_store_cold"),
     ("bench_e18_plan_executor", "run_sweep_store_warm", "e18_plan_store_warm"),
@@ -138,10 +138,12 @@ def main() -> None:
         raise SystemExit(compare(data, args.tag, args.repeats))
 
     seconds, mods = time_workloads(args.repeats)
+    cpus = os.cpu_count() or 1
     data[args.tag] = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "python": platform.python_version(),
         "seconds": seconds,
+        "cpu_count": {name: cpus for name in seconds},
     }
     if "before" in data and "after" in data:
         before = data["before"]["seconds"]
@@ -157,14 +159,10 @@ def main() -> None:
     vec, ref = sec.get("e17_routing_vectorized"), sec.get("e17_routing_reference")
     if vec and ref:
         data["e17_routing_speedup_vectorized_vs_reference"] = round(ref / vec, 2)
-    # E18: the plan executor vs the pre-plan serial loop path (the fused
-    # engine win, hardware-independent), and worker-pool vs serial (this
-    # one reflects however many cores the recording host grants).
+    # E18: worker-pool vs serial (this reflects however many cores the
+    # recording host grants).
     serial = sec.get("e18_plan_serial")
     pool = sec.get("e18_plan_workerpool")
-    legacy = sec.get("e18_plan_legacy_loop")
-    if serial and legacy:
-        data["e18_plan_speedup_fused_vs_legacy_serial"] = round(legacy / serial, 2)
     if serial and pool:
         data["e18_plan_workerpool_vs_serial"] = round(serial / pool, 2)
     # The shm pool ratio is recorded with the core count it was measured

@@ -206,8 +206,7 @@ class Check:
     Subclasses set ``id`` (``"RPRnnn"``), ``name`` (short slug),
     ``summary`` (one line, shown by ``--list``) and ``scope``:
 
-    * ``"module"`` — :meth:`run` is called once per parsed file (in
-      parallel across files);
+    * ``"module"`` — :meth:`run` is called once per parsed file;
     * ``"project"`` — :meth:`run_project` is called once with the whole
       :class:`ProjectContext` (for cross-file invariants).
     """

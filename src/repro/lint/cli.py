@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.lint [paths ...] [--select RPR001,RPR002]
                          [--ignore RPR005] [--format text|json]
-                         [--jobs N] [--tests DIR] [--list]
+                         [--tests DIR] [--list]
 
 Exit status: 0 when clean, 1 when violations were found, 2 on usage
 errors.  ``--format json`` emits a machine-readable report (the CI lint
@@ -60,13 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="per-file analysis threads (default: min(8, cpus))",
-    )
-    parser.add_argument(
         "--tests",
         default=None,
         metavar="DIR",
@@ -91,7 +84,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.paths,
             select=args.select,
             ignore=args.ignore,
-            jobs=args.jobs,
             tests_root=args.tests,
         )
     except (FileNotFoundError, KeyError) as err:

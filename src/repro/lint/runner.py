@@ -1,4 +1,4 @@
-"""Collect files, run checks (per-file in parallel), filter suppressions.
+"""Collect files, run checks per file, filter suppressions.
 
 The runner is the programmatic surface behind the CLI::
 
@@ -6,8 +6,9 @@ The runner is the programmatic surface behind the CLI::
     report = run_lint(["src"])
     assert not report.violations
 
-Module-scoped checks run per file inside a thread pool (parsing and AST
-walks release no locks of ours, and file IO overlaps); project-scoped
+Module-scoped checks run per file, serially: CPython 3.11's AST
+constructor is not safe to call from several threads at once, and
+parsing holds the GIL, so threads would not overlap it.  Project-scoped
 checks (oracle pairing) run once over the parsed set afterwards.  The
 ``tests/`` directory consulted by cross-file checks is discovered by
 walking up from the first linted path to the nearest ancestor holding a
@@ -18,7 +19,6 @@ walking up from the first linted path to the nearest ancestor holding a
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -139,13 +139,11 @@ def run_lint(
     *,
     select: Sequence[str] | None = None,
     ignore: Sequence[str] | None = None,
-    jobs: int | None = None,
     tests_root: str | os.PathLike[str] | None = None,
 ) -> LintReport:
     """Lint ``paths`` with the selected checks; returns a :class:`LintReport`.
 
-    ``select``/``ignore`` take check ids (``["RPR002", ...]``); ``jobs``
-    caps the per-file worker threads (default: CPU count, at most 8);
+    ``select``/``ignore`` take check ids (``["RPR002", ...]``);
     ``tests_root`` overrides the discovered ``tests/`` directory.
     """
     active = _selected_checks(select, ignore)
@@ -183,14 +181,7 @@ def run_lint(
                     found.append(v)
         return ctx, found
 
-    workers = jobs if jobs is not None else min(8, os.cpu_count() or 1)
-    workers = max(1, min(workers, max(1, len(files))))
-    if workers == 1:
-        results = [analyse(p) for p in files]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(analyse, files))
-    for ctx, found in results:
+    for ctx, found in map(analyse, files):
         violations.extend(found)
         if ctx is not None:
             contexts.append(ctx)

@@ -77,19 +77,30 @@ class RoutingPolicy:
         offsets: np.ndarray,
         src: np.ndarray,
         dst: np.ndarray,
-    ) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Whole-trace phase legs for the fused multi-superstep router.
 
         ``src``/``dst`` are the flat endpoint columns of a folded trace
         (superstep ``s`` owns ``[offsets[s], offsets[s+1])``).  Returns
         one ``(src, dst)`` pair per phase, each aligned with the flat
-        message order, and must agree message-for-message with what
-        :meth:`phases` yields when called superstep by superstep — the
-        fused router is property-tested bit-identical against the
-        per-superstep path.  Returning ``None`` (the default) opts the
-        policy out of fusion.
+        message order.  The default applies :meth:`phases` superstep by
+        superstep (each phase aligned with its batch); a superstep with
+        fewer phases than another leaves self-messages in the missing
+        legs, which route for free.  Overrides must agree with it
+        message for message.
         """
-        return None
+        legs: list[tuple[np.ndarray, np.ndarray]] = []
+        for s in range(int(labels.shape[0])):
+            lo, hi = int(offsets[s]), int(offsets[s + 1])
+            if hi == lo:
+                continue
+            phases = self.phases(topo, s, int(labels[s]), src[lo:hi], dst[lo:hi])
+            for k, (ph_src, ph_dst) in enumerate(phases):
+                if k == len(legs):
+                    legs.append((src.copy(), src.copy()))
+                legs[k][0][lo:hi] = ph_src
+                legs[k][1][lo:hi] = ph_dst
+        return legs
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.name!r})"
@@ -140,18 +151,6 @@ class ValiantPolicy(RoutingPolicy):
         mid = self.intermediates(topo, step, label, src)
         yield src, mid
         yield mid, dst
-
-    def phase_legs(self, topo, labels, offsets, src, dst):
-        # Only the rng draw is per-superstep (it is keyed by the superstep
-        # ordinal); the expensive routing of both legs stays fused.
-        mid = np.empty(src.shape, dtype=np.int64)
-        for s in range(int(labels.shape[0])):
-            lo, hi = int(offsets[s]), int(offsets[s + 1])
-            if hi > lo:
-                mid[lo:hi] = self.intermediates(
-                    topo, s, int(labels[s]), src[lo:hi]
-                )
-        return [(src, mid), (mid, dst)]
 
 
 #: Registry of shipped policies (name -> constructor taking a seed).

@@ -13,18 +13,18 @@ tracks ``ell_i`` (latency), the +1 the barrier.  Multi-phase policies
 (:class:`~repro.networks.policy.ValiantPolicy`) sum congestion and
 dilation over their phases and still pay one barrier.
 
-Whole traces are routed by :func:`route_trace`: one pass over the folded
-trace's columnar superstep ranges (no per-record objects), batching each
-superstep's endpoints through the topology's vectorised router, with the
-resulting :class:`RoutedProfile` memoised exactly like the fold kernels
-— keyed by (trace identity+version, topology, policy), since network
-sweeps route the same trace on many machines.
+Whole traces are routed by :func:`route_trace`: each policy leg of the
+folded trace's columnar endpoints goes through the topology's one fused
+kernel, ``route_loads_multi``, in cache-sized superstep chunks (no
+per-record objects), with the resulting :class:`RoutedProfile` memoised
+exactly like the fold kernels — keyed by (trace identity+version,
+topology, policy), since network sweeps route the same trace on many
+machines.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -47,7 +47,6 @@ __all__ = [
     "clear_route_cache",
     "route_cache_stats",
     "fuse_gate_stats",
-    "clear_fuse_gate",
 ]
 
 _DIRECT = DimensionOrderPolicy()
@@ -61,25 +60,14 @@ _cache_hits = 0
 _cache_misses = 0
 _cache_evictions = 0
 
-#: Ceiling on ``num_supersteps * num_edges`` for the fused whole-trace
-#: router: above it the dense (superstep, edge) load grid would dwarf the
-#: message count and the per-superstep path wins on memory.
-_FUSED_MAX_CELLS = 1 << 21
-#: Clamp on the measured per-(topology, fold) average-batch crossover
-#: (messages per superstep) below which fusion is enabled.  Fusing trades
-#: S per-superstep kernel launches for whole-trace array passes; with
-#: large per-superstep batches the loop's chunks are cache-resident and
-#: the launch overhead is already amortised, so fusion only pays off for
-#: traces of many small supersteps.  The crossover is *measured* per
-#: (topology, p) cell once per process (see :func:`_fused_batch_limit`);
-#: the clamp keeps a noisy timing from producing a pathological gate.
-_FUSED_BATCH_FLOOR = 64
-_FUSED_BATCH_CEIL = 4096
-#: Probe sizes for the once-per-process crossover measurement: the
-#: 1-message call times the kernel-launch overhead, the large batch the
-#: marginal per-message cost.
-_FUSE_PROBE_BATCH = 512
-_fuse_limits: dict[tuple[str, int], int] = {}
+#: Chunk budgets of :func:`_profile_arrays`.  A leg's supersteps are
+#: routed through ``route_loads_multi`` in chunks of whole supersteps
+#: holding at most ``_CHUNK_CELLS`` dense (superstep, edge) load cells
+#: and, unless one superstep alone exceeds it, ``_CHUNK_MESSAGES``
+#: messages, so the load grid and the per-message temporaries stay
+#: cache-resident.  Far smaller chunks pay per-call overhead instead.
+_CHUNK_CELLS = 1 << 16
+_CHUNK_MESSAGES = 1 << 13
 
 
 def clear_route_cache() -> None:
@@ -107,65 +95,13 @@ def route_cache_stats() -> dict[str, int]:
 register_cache("route", route_cache_stats, clear_route_cache)
 
 
-def clear_fuse_gate() -> None:
-    """Forget the measured per-(topology, fold) fuse crossovers."""
-    with _cache_lock:
-        _fuse_limits.clear()
-
-
 def fuse_gate_stats() -> dict[tuple[str, int], int]:
-    """Measured fuse-gate decisions: (topology, p) -> avg-batch ceiling.
+    """Always ``{}``: routing no longer has a timing-based fuse gate.
 
-    Populated lazily, one entry per (topology, p) cell per process, by
-    :func:`_fused_batch_limit`.
+    Every trace takes the one fused path; the function remains so
+    callers that still record gate tables keep working.
     """
-    with _cache_lock:
-        return dict(_fuse_limits)
-
-
-def _measure_batch_limit(topo: Topology) -> int:
-    """Measure this cell's fusion crossover: launch overhead in messages.
-
-    Fusing a trace of ``S`` supersteps saves ~``S`` kernel launches and
-    costs ~one extra whole-trace pass, so it pays while the average
-    batch is below ``launch_overhead / marginal_per_message_cost``.
-    Both terms are measured on the spot (best of three, one warm-up):
-    a 1-message ``route_loads`` call prices the launch, a
-    :data:`_FUSE_PROBE_BATCH`-message call the marginal cost.  Clamped
-    to [:data:`_FUSED_BATCH_FLOOR`, :data:`_FUSED_BATCH_CEIL`] so timing
-    noise cannot produce a pathological gate — results are bit-identical
-    either way; only throughput is at stake.
-    """
-    rng = np.random.default_rng(0xF05E)
-    batches = []
-    for size in (1, _FUSE_PROBE_BATCH):
-        src = rng.integers(0, topo.p, size, dtype=np.int64)
-        dst = (src + 1 + rng.integers(0, max(1, topo.p - 1), size)) % topo.p
-        batches.append((src, dst))
-    (s1, d1), (sb, db) = batches
-    topo.route_loads(s1, d1)  # warm the instance caches outside the timing
-    t_small = t_big = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        topo.route_loads(s1, d1)
-        t_small = min(t_small, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        topo.route_loads(sb, db)
-        t_big = min(t_big, time.perf_counter() - t0)
-    per_msg = max(t_big - t_small, 1e-12) / (_FUSE_PROBE_BATCH - 1)
-    return int(min(_FUSED_BATCH_CEIL, max(_FUSED_BATCH_FLOOR, t_small / per_msg)))
-
-
-def _fused_batch_limit(topo: Topology) -> int:
-    """The (memoised) avg-batch fusion ceiling for this (topology, p)."""
-    key = (topo.name, topo.p)
-    with _cache_lock:
-        cached = _fuse_limits.get(key)
-    if cached is not None:
-        return cached
-    limit = _measure_batch_limit(topo)  # unlocked: timing must not serialise
-    with _cache_lock:
-        return _fuse_limits.setdefault(key, limit)
+    return {}
 
 
 @dataclass(frozen=True)
@@ -234,98 +170,64 @@ def superstep_time(
     for finer labels.  :func:`route_trace` passes the true per-superstep
     values and is the canonical whole-trace path.
     """
+    policy = policy or _DIRECT
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     keep = src != dst
     src, dst = src[keep], dst[keep]
-    if src.size == 0:
-        return RoutedCost(0.0, 0, 1.0)
-    congestion, dilation = _route_superstep(
-        topo, policy or _DIRECT, step, label, src, dst
-    )
+    caps = topo.edge_capacities()
+    congestion, dilation = 0.0, 0
+    if src.size:
+        for ph_src, ph_dst in policy.phases(topo, step, label, src, dst):
+            cross = ph_src != ph_dst  # policy legs may introduce self-messages
+            if not cross.any():
+                continue
+            loads, dil = topo.route_loads(ph_src[cross], ph_dst[cross])
+            congestion += float((loads / caps).max())
+            dilation += dil
     return RoutedCost(congestion, dilation, congestion + dilation + 1.0)
 
 
-def _route_superstep(
-    topo: Topology,
-    policy: RoutingPolicy,
-    step: int,
-    label: int,
-    src: np.ndarray,
-    dst: np.ndarray,
-) -> tuple[float, int]:
-    """(congestion, dilation) of one non-empty superstep, summed over phases."""
-    caps = topo.edge_capacities()
-    congestion, dilation = 0.0, 0
-    for ph_src, ph_dst in policy.phases(topo, step, label, src, dst):
-        cross = ph_src != ph_dst  # policy legs may introduce self-messages
-        if not cross.all():
-            ph_src, ph_dst = ph_src[cross], ph_dst[cross]
-        if ph_src.size == 0:
-            continue
-        loads, dil = topo.route_loads(ph_src, ph_dst)
-        congestion += float((loads / caps).max())
-        dilation += int(dil)
-    return congestion, dilation
-
-
-def _profile_arrays_loop(
+def _profile_arrays(
     topo: Topology, policy: RoutingPolicy, cols: TraceColumns
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-superstep routing loop (the reference whole-trace path)."""
-    S = cols.num_supersteps
-    congestion = np.zeros(S)
-    dilation = np.zeros(S, dtype=np.int64)
-    time = np.ones(S)  # barrier-only default: the empty fast path
-    offsets, src, dst = cols.offsets, cols.src, cols.dst
-    for s in range(S):
-        lo, hi = int(offsets[s]), int(offsets[s + 1])
-        if hi == lo:
-            continue  # folded supersteps carry no self-messages
-        c, d = _route_superstep(
-            topo, policy, s, int(cols.labels[s]), src[lo:hi], dst[lo:hi]
-        )
-        congestion[s] = c
-        dilation[s] = d
-        time[s] = c + d + 1.0
-    return congestion, dilation, time
+    """Per-superstep (congestion, dilation, time) of a folded trace.
 
-
-def _profile_arrays_fused(
-    topo: Topology, policy: RoutingPolicy, cols: TraceColumns
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Route all supersteps of a folded trace in one pass per phase.
-
-    Each policy phase leg is routed through the topology's fused
-    ``route_loads_multi`` kernel — one ``bincount`` over the flat
-    ``superstep * num_edges + edge`` key space — and per-superstep
-    dilations come from ``pair_distance`` (the routed path length, whose
-    agreement with ``route_loads``' dilation is a property-tested
-    invariant of every shipped topology).  Returns ``None`` when the
-    policy or topology does not support fusion; results are bit-identical
-    to :func:`_profile_arrays_loop` (property-tested).
+    Each policy leg is routed through the topology's ``route_loads_multi``
+    kernel in chunks of whole supersteps (see :data:`_CHUNK_CELLS`).
+    ``superstep_index()`` is non-decreasing, so one ``searchsorted``
+    finds every chunk's message range.  Dilations come from
+    ``pair_distance`` (the routed path length, pinned to the per-message
+    oracles by the property tests).  Congestion and dilation are summed
+    over legs; an empty superstep costs the barrier alone.
     """
     S = cols.num_supersteps
-    legs = policy.phase_legs(topo, cols.labels, cols.offsets, cols.src, cols.dst)
-    if legs is None:
-        return None
     caps = topo.edge_capacities()
+    span = max(1, _CHUNK_CELLS // topo.num_edges())
     sidx = cols.superstep_index()
     congestion = np.zeros(S)
     dilation = np.zeros(S, dtype=np.int64)
-    try:
-        for leg_src, leg_dst in legs:
-            keep = leg_src != leg_dst  # policy legs may introduce self-messages
-            ls, ld, seg = leg_src[keep], leg_dst[keep], sidx[keep]
-            if ls.size == 0:
+    legs = policy.phase_legs(topo, cols.labels, cols.offsets, cols.src, cols.dst)
+    for leg_src, leg_dst in legs:
+        src, dst, seg = leg_src, leg_dst, sidx
+        keep = src != dst  # policy legs may introduce self-messages
+        if not keep.all():
+            src, dst, seg = src[keep], dst[keep], seg[keep]
+        starts = np.union1d(np.arange(0, S, span), seg[::_CHUNK_MESSAGES])
+        bounds = np.append(starts, S)
+        cuts = np.searchsorted(seg, bounds).tolist()
+        bounds = bounds.tolist()
+        for lo, hi, a, b in zip(bounds, bounds[1:], cuts, cuts[1:]):
+            if a == b:
                 continue
-            loads = topo.route_loads_multi(ls, ld, seg, S)
-            congestion += (loads / caps[None, :]).max(axis=1)
-            leg_dil = np.zeros(S, dtype=np.int64)
-            np.maximum.at(leg_dil, seg, topo.pair_distance(ls, ld))
-            dilation += leg_dil
-    except NotImplementedError:
-        return None
+            c_src, c_dst, c_seg = src[a:b], dst[a:b], seg[a:b] - lo
+            loads = topo.route_loads_multi(c_src, c_dst, c_seg, hi - lo)
+            congestion[lo:hi] += (loads / caps).max(axis=1)
+            # The first message of each superstep present in the chunk.
+            first = np.flatnonzero(c_seg[1:] != c_seg[:-1]) + 1
+            first = np.concatenate(([0], first))
+            dist = topo.pair_distance(c_src, c_dst)
+            dilation[lo + c_seg[first]] += np.maximum.reduceat(dist, first)
     return congestion, dilation, congestion + dilation + 1.0
 
 
@@ -336,15 +238,10 @@ def route_trace(
 
     The fold (``keep_empty=True`` — surviving supersteps that lost all
     their messages still cost a barrier) comes from the memoised folding
-    kernels.  When the trace is many small supersteps (dense
-    (superstep, edge) grid below ``2**21`` cells, average batch below
-    the cell's measured launch-overhead crossover — see
-    :func:`fuse_gate_stats`) and the policy supports it, all supersteps
-    are routed in one fused kernel pass per phase; otherwise
-    each superstep's endpoint range is sliced out of the folded columns
-    and routed as one batch (empty supersteps short-circuit to
-    barrier-only cost).  Both paths are bit-identical.  The profile is
-    memoised per (trace, topology, policy); cached arrays are read-only.
+    kernels; every policy leg is then routed by the topology's fused
+    ``route_loads_multi`` kernel in cache-sized superstep chunks (see
+    :func:`_profile_arrays`).  The profile is memoised per (trace,
+    topology, policy); cached arrays are read-only.
     """
     policy = policy or _DIRECT
     global _cache_hits, _cache_misses, _cache_evictions
@@ -362,17 +259,7 @@ def route_trace(
 
     folded = fold_trace(trace, topo.p, keep_empty=True)
     cols = folded.columns()
-    S = cols.num_supersteps
-    arrays = None
-    if (
-        S > 1
-        and S * topo.num_edges() <= _FUSED_MAX_CELLS
-        and cols.num_messages <= S * _fused_batch_limit(topo)
-    ):
-        arrays = _profile_arrays_fused(topo, policy, cols)
-    if arrays is None:
-        arrays = _profile_arrays_loop(topo, policy, cols)
-    congestion, dilation, time = arrays
+    congestion, dilation, time = _profile_arrays(topo, policy, cols)
     for arr in (congestion, dilation, time):
         arr.setflags(write=False)
     profile = RoutedProfile(

@@ -19,23 +19,27 @@ leading index bits) correspond to good subnetworks:
   on the rows; a message ascends only through the levels where its
   endpoints' row bits differ (dimension-order on the bit indices).
 
-Every topology exposes its edge list with capacities and a **whole-batch
-vectorised** ``route_loads`` producing, for a batch of (src, dst) pairs,
-the per-edge loads — consumed by :mod:`repro.networks.routing` to time
-h-relations by the classic congestion + dilation bound.  The original
-per-message routers are retained verbatim as ``route_loads_reference``
-oracles and property-tested bit-identical to the kernels
-(`tests/test_networks.py`).
+Every topology exposes its edge list with capacities and **one fused,
+vectorised** routing kernel, ``route_loads_multi``: for a batch of
+(src, dst) pairs tagged with segment ids (the supersteps of a folded
+trace) it returns the per-(segment, edge) loads in one pass.
+:mod:`repro.networks.routing` prices h-relations with it by the classic
+congestion + dilation bound, and ``route_loads`` is its one-segment
+case.  The original per-message routers are retained as
+``route_loads_multi_reference`` oracles and property-tested
+bit-identical to the kernels (`tests/test_networks.py`).
 
 Vectorisation strategy: every shipped router moves messages along axis
 runs, so per-edge loads are sums of *interval indicators* over a flat
-edge-id space.  Each interval contributes ``+1`` at its first edge and
-``-1`` one past its last; one ``np.bincount`` per endpoint set plus one
-``np.cumsum`` recovers all loads with no per-message Python iteration
-(the endpoint marks of wrapped ring intervals split in two).  The
-fat-tree instead ascends all heap ancestors level-synchronously, and the
-hypercube/butterfly walk their ``log p`` dimensions with whole-batch
-masks.  Loads are accumulated in ``int64`` and converted to float at the
+``segment * E + edge`` id space.  Each interval contributes ``+1`` at
+its first edge and ``-1`` one past its last; one ``np.bincount`` per
+endpoint set plus one ``np.cumsum`` recovers all loads with no
+per-message Python iteration (the endpoint marks of wrapped ring
+intervals split in two).  The fat-tree instead ascends all heap
+ancestors level-synchronously, and the hypercube/butterfly walk their
+``log p`` dimensions with whole-batch masks; each level keys only the
+messages still in flight and one ``bincount`` counts every level's
+keys.  Loads are accumulated in ``int64`` and converted to float at the
 end, so they are bit-identical to the references' ``+= 1.0`` sums.
 """
 
@@ -103,6 +107,24 @@ def _ring_runs(
         starts = np.concatenate([starts, base[wrap]])
         ends = np.concatenate([ends, base[wrap] + stop[wrap] - ring])
     return starts, ends
+
+
+def _live(mask: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays`` restricted to the messages ``mask`` keeps (no copy if all)."""
+    if mask.all():
+        return arrays
+    return tuple(a[mask] for a in arrays)
+
+
+def _key_loads(keys: list[np.ndarray], num_segs: int, num_edges: int) -> np.ndarray:
+    """The ``(num_segs, E)`` load grid of flat ``seg * E + edge`` keys.
+
+    Level-synchronous routers collect each level's keys for the messages
+    still in flight and count them all in one ``bincount``.
+    """
+    flat = np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
+    loads = np.bincount(flat, minlength=num_segs * num_edges)
+    return loads.reshape(num_segs, num_edges).astype(np.float64)
 
 
 def _path_offsets(lengths: np.ndarray) -> np.ndarray:
@@ -208,10 +230,6 @@ class Topology:
             self._caps = caps
         return self._caps
 
-    def route_loads(self, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, int]:
-        """Per-edge loads and the maximum path length (dilation), batched."""
-        raise NotImplementedError
-
     def route_loads_multi(
         self,
         src: np.ndarray,
@@ -223,21 +241,40 @@ class Topology:
 
         ``seg[t]`` assigns message ``t`` to one of ``num_segs`` segments
         (in practice: the supersteps of a folded trace); the result has
-        shape ``(num_segs, E)`` and row ``s`` equals
-        ``route_loads(src[seg == s], dst[seg == s])[0]`` bit-for-bit.
-        Implementations fuse all segments into one kernel pass over the
-        flat ``seg * E + edge`` key space — the multi-superstep router
-        calls this once per routing phase instead of once per superstep.
-        Topologies without a fused kernel may leave this unimplemented;
-        the router falls back to the per-superstep path.
+        shape ``(num_segs, E)`` and row ``s`` holds the loads of the
+        messages with ``seg == s`` alone.  Every topology implements this
+        as one kernel pass over the flat ``seg * E + edge`` key space.
+        It is the only routing kernel: ``route_trace`` calls it once per
+        routing phase and superstep chunk, and :meth:`route_loads` is
+        its one-segment case.
         """
         raise NotImplementedError
 
-    def route_loads_reference(
-        self, src: np.ndarray, dst: np.ndarray
-    ) -> tuple[np.ndarray, int]:
-        """Per-message oracle for :meth:`route_loads` (bit-identical)."""
+    def route_loads_multi_reference(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        seg: np.ndarray,
+        num_segs: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-message oracle for :meth:`route_loads_multi`.
+
+        Walks every message's path edge by edge, charging row ``seg[t]``;
+        returns the ``(num_segs, E)`` loads (bit-identical to the kernel)
+        and each segment's longest walked path (which pins
+        :meth:`pair_distance`, the router's dilation source).
+        """
         raise NotImplementedError
+
+    def route_loads(self, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, int]:
+        """Per-edge loads and the maximum path length (dilation) of one batch.
+
+        The one-segment case of :meth:`route_loads_multi`; dilation is
+        the longest :meth:`pair_distance`.
+        """
+        seg = np.zeros(src.size, dtype=np.int64)
+        loads = self.route_loads_multi(src, dst, seg, 1)[0]
+        return loads, int(self.pair_distance(src, dst).max(initial=0))
 
     def route_paths(
         self, src: np.ndarray, dst: np.ndarray
@@ -285,32 +322,17 @@ class Ring(Topology):
         return self.p  # edge e connects e -> (e+1) mod p
 
     def pair_distance(self, src, dst):
-        fwd = (dst - src) % self.p
-        return np.minimum(fwd, (self.p - fwd) % self.p)
-
-    def route_loads(self, src, dst):
-        p = self.p
-        if src.size == 0:
-            return np.zeros(p), 0
-        fwd = (dst - src) % p
-        bwd = (src - dst) % p
-        length = np.minimum(fwd, bwd)
-        # Tie at p/2 goes forward, matching the reference router.
-        start = np.where(fwd <= bwd, src, dst)
-        move = length > 0
-        starts, ends = _ring_runs(
-            start[move], length[move], np.zeros(int(move.sum()), np.int64), p
-        )
-        loads = _interval_loads(starts, ends, p).astype(np.float64)
-        return loads, int(length.max(initial=0))
+        fwd = (dst - src) & (self.p - 1)  # p is a power of two: & is mod p
+        return np.minimum(fwd, (self.p - fwd) & (self.p - 1))
 
     def route_loads_multi(self, src, dst, seg, num_segs):
         p = self.p
         if src.size == 0:
             return np.zeros((num_segs, p))
-        fwd = (dst - src) % p
-        bwd = (src - dst) % p
+        fwd = (dst - src) & (p - 1)
+        bwd = (src - dst) & (p - 1)
         length = np.minimum(fwd, bwd)
+        # Tie at p/2 goes forward, matching the reference router.
         start = np.where(fwd <= bwd, src, dst)
         move = length > 0
         starts, ends = _ring_runs(start[move], length[move], (seg * p)[move], p)
@@ -327,23 +349,21 @@ class Ring(Topology):
         )
         return _path_offsets(length), edges
 
-    def route_loads_reference(self, src, dst):
-        loads = np.zeros(self.p)
-        if src.size == 0:
-            return loads, 0
+    def route_loads_multi_reference(self, src, dst, seg, num_segs):
+        loads = np.zeros((num_segs, self.p))
+        dil = np.zeros(num_segs, dtype=np.int64)
         fwd = (dst - src) % self.p
         bwd = (src - dst) % self.p
-        dil = 0
-        for s, f, b in zip(src, fwd, bwd):
+        for g, s, f, b in zip(seg, src, fwd, bwd):
             if f == 0:
                 continue
             if f <= b:
                 idx = (s + np.arange(f)) % self.p
-                dil = max(dil, int(f))
+                dil[g] = max(dil[g], int(f))
             else:
                 idx = (s - 1 - np.arange(b)) % self.p
-                dil = max(dil, int(b))
-            np.add.at(loads, idx, 1.0)
+                dil[g] = max(dil[g], int(b))
+            np.add.at(loads[g], idx, 1.0)
         return loads, dil
 
     def diameter_of_cluster(self, i: int) -> float:
@@ -387,32 +407,15 @@ class Mesh2D(Topology):
             self.col[src] - self.col[dst]
         )
 
-    def route_loads(self, src, dst):
-        # Dimension-order routing: horizontal along the source row, then
-        # vertical along the destination column — both axis runs are
-        # contiguous intervals of flat edge ids.
-        E = self.num_edges()
-        if src.size == 0:
-            return np.zeros(E), 0
-        r1, c1 = self.row[src], self.col[src]
-        r2, c2 = self.row[dst], self.col[dst]
-        dil = int(np.max(np.abs(r1 - r2) + np.abs(c1 - c2), initial=0))
-        sx = max(self.side, self.side_y)
-        off = sx * sx
-        # Horizontal edge (r, c)-(r, c+1) has id r*sx + c; vertical edge
-        # (r, c)-(r+1, c) has id sx*sx + c*sx + r.
-        hlo, hhi = np.minimum(c1, c2), np.maximum(c1, c2)
-        vlo, vhi = np.minimum(r1, r2), np.maximum(r1, r2)
-        mh = hhi > hlo
-        mv = vhi > vlo
-        starts = np.concatenate([(r1 * sx + hlo)[mh], (off + c2 * sx + vlo)[mv]])
-        ends = np.concatenate([(r1 * sx + hhi)[mh], (off + c2 * sx + vhi)[mv]])
-        return _interval_loads(starts, ends, E).astype(np.float64), dil
-
     def route_loads_multi(self, src, dst, seg, num_segs):
         E = self.num_edges()
         if src.size == 0:
             return np.zeros((num_segs, E))
+        # Dimension-order routing: horizontal along the source row, then
+        # vertical along the destination column — both axis runs are
+        # contiguous intervals of flat edge ids.  Horizontal edge
+        # (r, c)-(r, c+1) has id r*sx + c; vertical edge (r, c)-(r+1, c)
+        # has id sx*sx + c*sx + r.
         r1, c1 = self.row[src], self.col[src]
         r2, c2 = self.row[dst], self.col[dst]
         sx = max(self.side, self.side_y)
@@ -445,22 +448,24 @@ class Mesh2D(Topology):
         vedges = _run_path_edges(r1, vlen, r2 >= r1, off + c2 * sx, sx)
         return _paths_from_segments([(hlen, hedges), (vlen, vedges)])
 
-    def route_loads_reference(self, src, dst):
-        loads = np.zeros(self.num_edges())
-        if src.size == 0:
-            return loads, 0
+    def route_loads_multi_reference(self, src, dst, seg, num_segs):
+        loads = np.zeros((num_segs, self.num_edges()))
+        dil = np.zeros(num_segs, dtype=np.int64)
         r1, c1 = self.row[src], self.col[src]
         r2, c2 = self.row[dst], self.col[dst]
-        dil = int(np.max(np.abs(r1 - r2) + np.abs(c1 - c2), initial=0))
         sx = max(self.side, self.side_y)
         off = sx * sx
-        for a1, b1, a2, b2 in zip(r1, c1, r2, c2):
+        for g, a1, b1, a2, b2 in zip(seg, r1, c1, r2, c2):
+            hops = 0
             lo, hi = (b1, b2) if b1 <= b2 else (b2, b1)
             if hi > lo:
-                np.add.at(loads, a1 * sx + np.arange(lo, hi), 1.0)
+                np.add.at(loads[g], a1 * sx + np.arange(lo, hi), 1.0)
+                hops += hi - lo
             lo, hi = (a1, a2) if a1 <= a2 else (a2, a1)
             if hi > lo:
-                np.add.at(loads, off + b2 * sx + np.arange(lo, hi), 1.0)
+                np.add.at(loads[g], off + b2 * sx + np.arange(lo, hi), 1.0)
+                hops += hi - lo
+            dil[g] = max(dil[g], hops)
         return loads, dil
 
     def diameter_of_cluster(self, i: int) -> float:
@@ -496,43 +501,17 @@ class Torus2D(Topology):
         return 2 * self.p
 
     def _axis_lengths(self, src, dst):
-        fwd_c = (self.col[dst] - self.col[src]) % self.w
-        fwd_r = (self.row[dst] - self.row[src]) % self.h
-        return (
-            np.minimum(fwd_c, (self.w - fwd_c) % self.w),
-            np.minimum(fwd_r, (self.h - fwd_r) % self.h),
+        # w and h are powers of two, so ``& (w - 1)`` is ``% w``.
+        mw, mh = self.w - 1, self.h - 1
+        fwd_c = (self.col[dst] - self.col[src]) & mw
+        fwd_r = (self.row[dst] - self.row[src]) & mh
+        return np.minimum(fwd_c, (self.w - fwd_c) & mw), np.minimum(
+            fwd_r, (self.h - fwd_r) & mh
         )
 
     def pair_distance(self, src, dst):
         dc, dr = self._axis_lengths(src, dst)
         return dc + dr
-
-    def route_loads(self, src, dst):
-        E = self.num_edges()
-        if src.size == 0:
-            return np.zeros(E), 0
-        r1, c1 = self.row[src], self.col[src]
-        r2, c2 = self.row[dst], self.col[dst]
-        fwd_c = (c2 - c1) % self.w
-        bwd_c = (c1 - c2) % self.w
-        len_c = np.minimum(fwd_c, bwd_c)
-        fwd_r = (r2 - r1) % self.h
-        bwd_r = (r1 - r2) % self.h
-        len_r = np.minimum(fwd_r, bwd_r)
-        dil = int(np.max(len_c + len_r, initial=0))
-        # Ties go forward, matching Ring (and the reference router).
-        start_c = np.where(fwd_c <= bwd_c, c1, c2)
-        start_r = np.where(fwd_r <= bwd_r, r1, r2)
-        mh = len_c > 0
-        mv = len_r > 0
-        sh, eh = _ring_runs(start_c[mh], len_c[mh], (r1 * self.w)[mh], self.w)
-        sv, ev = _ring_runs(
-            start_r[mv], len_r[mv], (self.p + c2 * self.h)[mv], self.h
-        )
-        loads = _interval_loads(
-            np.concatenate([sh, sv]), np.concatenate([eh, ev]), E
-        )
-        return loads.astype(np.float64), dil
 
     def route_loads_multi(self, src, dst, seg, num_segs):
         E = self.num_edges()
@@ -540,12 +519,13 @@ class Torus2D(Topology):
             return np.zeros((num_segs, E))
         r1, c1 = self.row[src], self.col[src]
         r2, c2 = self.row[dst], self.col[dst]
-        fwd_c = (c2 - c1) % self.w
-        bwd_c = (c1 - c2) % self.w
+        fwd_c = (c2 - c1) & (self.w - 1)
+        bwd_c = (c1 - c2) & (self.w - 1)
         len_c = np.minimum(fwd_c, bwd_c)
-        fwd_r = (r2 - r1) % self.h
-        bwd_r = (r1 - r2) % self.h
+        fwd_r = (r2 - r1) & (self.h - 1)
+        bwd_r = (r1 - r2) & (self.h - 1)
         len_r = np.minimum(fwd_r, bwd_r)
+        # Ties go forward, matching Ring (and the reference router).
         start_c = np.where(fwd_c <= bwd_c, c1, c2)
         start_r = np.where(fwd_r <= bwd_r, r1, r2)
         base = seg * E
@@ -577,12 +557,10 @@ class Torus2D(Topology):
         )
         return _paths_from_segments([(len_c, hedges), (len_r, vedges)])
 
-    def route_loads_reference(self, src, dst):
-        loads = np.zeros(self.num_edges())
-        if src.size == 0:
-            return loads, 0
-        dil = 0
-        for s, d in zip(src, dst):
+    def route_loads_multi_reference(self, src, dst, seg, num_segs):
+        loads = np.zeros((num_segs, self.num_edges()))
+        dil = np.zeros(num_segs, dtype=np.int64)
+        for g, s, d in zip(seg, src, dst):
             r1, c1 = int(self.row[s]), int(self.col[s])
             r2, c2 = int(self.row[d]), int(self.col[d])
             hops = 0
@@ -593,7 +571,7 @@ class Torus2D(Topology):
             else:
                 cols = (c1 - 1 - np.arange(b)) % self.w
                 hops += b
-            np.add.at(loads, r1 * self.w + cols, 1.0)
+            np.add.at(loads[g], r1 * self.w + cols, 1.0)
             f, b = (r2 - r1) % self.h, (r1 - r2) % self.h
             if f <= b:
                 rows = (r1 + np.arange(f)) % self.h
@@ -601,8 +579,8 @@ class Torus2D(Topology):
             else:
                 rows = (r1 - 1 - np.arange(b)) % self.h
                 hops += b
-            np.add.at(loads, self.p + c2 * self.h + rows, 1.0)
-            dil = max(dil, hops)
+            np.add.at(loads[g], self.p + c2 * self.h + rows, 1.0)
+            dil[g] = max(dil[g], hops)
         return loads, dil
 
     def diameter_of_cluster(self, i: int) -> float:
@@ -634,38 +612,18 @@ class Hypercube(Topology):
     def pair_distance(self, src, dst):
         return np.bitwise_count((src ^ dst).astype(np.uint64)).astype(np.int64)
 
-    def route_loads(self, src, dst):
-        E = self.num_edges()
-        if src.size == 0:
-            return np.zeros(E), 0
-        diff = src ^ dst
-        dil = int(np.max(np.bitwise_count(diff.astype(np.uint64)), initial=0))
-        loads = np.zeros(E, dtype=np.int64)
-        cur = src.copy()
-        for d in range(self.dims):
-            flip = (diff >> d) & 1 == 1
-            if flip.any():
-                loads += np.bincount(cur[flip] * self.dims + d, minlength=E)
-                cur = cur ^ (flip.astype(np.int64) << d)
-        return loads.astype(np.float64), dil
-
     def route_loads_multi(self, src, dst, seg, num_segs):
+        # Dimension-order: the differing bits are corrected low to high,
+        # one edge each.  ``key`` is the flat id of the current node's
+        # dimension-0 edge; correcting bit d moves the node by +-2^d.
         E = self.num_edges()
-        if src.size == 0:
-            return np.zeros((num_segs, E))
-        total = num_segs * E
         diff = src ^ dst
-        base = seg * E
-        loads = np.zeros(total, dtype=np.int64)
-        cur = src.copy()
+        key = seg * E + src * self.dims
+        keys = []
         for d in range(self.dims):
-            flip = (diff >> d) & 1 == 1
-            if flip.any():
-                loads += np.bincount(
-                    base[flip] + cur[flip] * self.dims + d, minlength=total
-                )
-                cur = cur ^ (flip.astype(np.int64) << d)
-        return loads.reshape(num_segs, E).astype(np.float64)
+            keys.append(key[(diff >> d) & 1 == 1] + d)
+            key = key + (((dst >> d) & 1) - ((src >> d) & 1)) * (self.dims << d)
+        return _key_loads(keys, num_segs, E)
 
     def route_paths(self, src, dst):
         # Dimension-order: bits corrected low to high, one edge each —
@@ -683,17 +641,17 @@ class Hypercube(Topology):
                 cur = cur ^ (flip.astype(np.int64) << d)
         return _sorted_paths(lengths, msg_chunks, edge_chunks)
 
-    def route_loads_reference(self, src, dst):
-        loads = np.zeros(self.num_edges())
-        dil = 0
-        for s, d in zip(src, dst):
+    def route_loads_multi_reference(self, src, dst, seg, num_segs):
+        loads = np.zeros((num_segs, self.num_edges()))
+        dil = np.zeros(num_segs, dtype=np.int64)
+        for g, s, d in zip(seg, src, dst):
             cur, diff, hops = int(s), int(s ^ d), 0
             for b in range(self.dims):
                 if (diff >> b) & 1:
-                    loads[cur * self.dims + b] += 1.0
+                    loads[g, cur * self.dims + b] += 1.0
                     cur ^= 1 << b
                     hops += 1
-            dil = max(dil, hops)
+            dil[g] = max(dil[g], hops)
         return loads, dil
 
     def diameter_of_cluster(self, i: int) -> float:
@@ -737,50 +695,22 @@ class FatTree(Topology):
         # back: 2 * (height - shared msb) = 2 * bit_length(src ^ dst).
         return 2 * _bit_length(src ^ dst)
 
-    def route_loads(self, src, dst):
-        # Level-synchronous heap-ancestor ascent: every round, each
-        # unfinished message charges the edge above its deeper endpoint
-        # and lifts it — at most 2*height whole-batch rounds.
+    def route_loads_multi(self, src, dst, seg, num_segs):
+        # Leaves sit at equal depth, so both endpoints climb together,
+        # each charging the edge above it, until they meet at the LCA.
         E = self.num_edges()
-        if src.size == 0:
-            return np.zeros(E), 0
-        loads = np.zeros(E, dtype=np.int64)
+        base = seg * E
         a = src + self.p - 1  # heap ids of the leaves
         b = dst + self.p - 1
-        dil = 0
+        keys = []
         while True:
-            ne = a != b
-            if not ne.any():
+            base, a, b = _live(a != b, base, a, b)
+            if a.size == 0:
                 break
-            up_a = ne & (a > b)
-            up_b = ne & (a < b)
-            loads += np.bincount(a[up_a] - 1, minlength=E)
-            loads += np.bincount(b[up_b] - 1, minlength=E)
-            a = np.where(up_a, (a - 1) >> 1, a)
-            b = np.where(up_b, (b - 1) >> 1, b)
-            dil += 1
-        return loads.astype(np.float64), dil
-
-    def route_loads_multi(self, src, dst, seg, num_segs):
-        E = self.num_edges()
-        if src.size == 0:
-            return np.zeros((num_segs, E))
-        total = num_segs * E
-        loads = np.zeros(total, dtype=np.int64)
-        base = seg * E
-        a = src + self.p - 1
-        b = dst + self.p - 1
-        while True:
-            ne = a != b
-            if not ne.any():
-                break
-            up_a = ne & (a > b)
-            up_b = ne & (a < b)
-            loads += np.bincount((base + a - 1)[up_a], minlength=total)
-            loads += np.bincount((base + b - 1)[up_b], minlength=total)
-            a = np.where(up_a, (a - 1) >> 1, a)
-            b = np.where(up_b, (b - 1) >> 1, b)
-        return loads.reshape(num_segs, E).astype(np.float64)
+            keys += [base + a - 1, base + b - 1]
+            a = (a - 1) >> 1
+            b = (b - 1) >> 1
+        return _key_loads(keys, num_segs, E)
 
     def route_paths(self, src, dst):
         # Leaves sit at equal depth, so lifting both endpoints together
@@ -817,12 +747,10 @@ class FatTree(Topology):
         edges = np.concatenate(edge_chunks)
         return offsets, edges[np.lexsort((hop, msg))]
 
-    def route_loads_reference(self, src, dst):
-        loads = np.zeros(self.num_edges())
-        if src.size == 0:
-            return loads, 0
-        dil = 0
-        for s, d in zip(src, dst):
+    def route_loads_multi_reference(self, src, dst, seg, num_segs):
+        loads = np.zeros((num_segs, self.num_edges()))
+        dil = np.zeros(num_segs, dtype=np.int64)
+        for g, s, d in zip(seg, src, dst):
             if s == d:
                 continue
             # Heap ids of the leaves.
@@ -831,13 +759,13 @@ class FatTree(Topology):
             hops = 0
             while a != b:
                 if a > b:
-                    loads[a - 1] += 1.0
+                    loads[g, a - 1] += 1.0
                     a = (a - 1) // 2
                 else:
-                    loads[b - 1] += 1.0
+                    loads[g, b - 1] += 1.0
                     b = (b - 1) // 2
                 hops += 1
-            dil = max(dil, hops)
+            dil[g] = max(dil[g], hops)
         return loads, dil
 
     def diameter_of_cluster(self, i: int) -> float:
@@ -870,53 +798,22 @@ class Butterfly(Topology):
     def pair_distance(self, src, dst):
         return _bit_length(src ^ dst)
 
-    def route_loads(self, src, dst):
-        E = self.num_edges()
-        if src.size == 0:
-            return np.zeros(E), 0
-        diff = src ^ dst
-        dil = int(_bit_length(diff).max(initial=0))
-        loads = np.zeros(E, dtype=np.int64)
-        cross_base = self.dims * self.p
-        cur = src.copy()
-        for l in range(dil):
-            active = (diff >> l) != 0  # highest differing bit is >= l
-            cross = active & (((diff >> l) & 1) == 1)
-            straight = active & ~cross
-            if straight.any():
-                loads += np.bincount(l * self.p + cur[straight], minlength=E)
-            if cross.any():
-                loads += np.bincount(
-                    cross_base + l * self.p + cur[cross], minlength=E
-                )
-                cur = cur ^ (cross.astype(np.int64) << l)
-        return loads.astype(np.float64), dil
-
     def route_loads_multi(self, src, dst, seg, num_segs):
+        # Level l is crossed while a differing bit at or above l remains:
+        # straight where bit l agrees, cross (and flip it) where it differs.
         E = self.num_edges()
-        if src.size == 0:
-            return np.zeros((num_segs, E))
-        total = num_segs * E
-        diff = src ^ dst
-        base = seg * E
-        loads = np.zeros(total, dtype=np.int64)
         cross_base = self.dims * self.p
-        cur = src.copy()
-        for l in range(int(_bit_length(diff).max(initial=0))):
-            active = (diff >> l) != 0
-            cross = active & (((diff >> l) & 1) == 1)
-            straight = active & ~cross
-            if straight.any():
-                loads += np.bincount(
-                    (base + l * self.p + cur)[straight], minlength=total
-                )
-            if cross.any():
-                loads += np.bincount(
-                    (base + cross_base + l * self.p + cur)[cross],
-                    minlength=total,
-                )
-                cur = cur ^ (cross.astype(np.int64) << l)
-        return loads.reshape(num_segs, E).astype(np.float64)
+        base, cur, rest = seg * E, src, src ^ dst
+        keys = []
+        for l in range(self.dims):
+            base, cur, rest = _live(rest != 0, base, cur, rest)
+            if rest.size == 0:
+                break
+            bit = rest & 1
+            keys.append(base + l * self.p + cur + bit * cross_base)
+            cur = cur ^ (bit << l)
+            rest = rest >> 1
+        return _key_loads(keys, num_segs, E)
 
     def route_paths(self, src, dst):
         # Levels are ascended in order, one edge per level, so the
@@ -940,20 +837,20 @@ class Butterfly(Topology):
                 cur = cur ^ (cross.astype(np.int64) << l)
         return _sorted_paths(lengths, msg_chunks, edge_chunks)
 
-    def route_loads_reference(self, src, dst):
-        loads = np.zeros(self.num_edges())
-        dil = 0
+    def route_loads_multi_reference(self, src, dst, seg, num_segs):
+        loads = np.zeros((num_segs, self.num_edges()))
+        dil = np.zeros(num_segs, dtype=np.int64)
         cross_base = self.dims * self.p
-        for s, d in zip(src, dst):
+        for g, s, d in zip(seg, src, dst):
             cur, diff = int(s), int(s ^ d)
             hops = diff.bit_length()
             for l in range(hops):
                 if (diff >> l) & 1:
-                    loads[cross_base + l * self.p + cur] += 1.0
+                    loads[g, cross_base + l * self.p + cur] += 1.0
                     cur ^= 1 << l
                 else:
-                    loads[l * self.p + cur] += 1.0
-            dil = max(dil, hops)
+                    loads[g, l * self.p + cur] += 1.0
+            dil[g] = max(dil[g], hops)
         return loads, dil
 
     def diameter_of_cluster(self, i: int) -> float:

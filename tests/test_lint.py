@@ -812,18 +812,6 @@ class TestRunner:
         )
         assert found == []
 
-    def test_serial_and_parallel_agree(self, tmp_path):
-        for i in range(4):
-            (tmp_path / f"m{i}.py").write_text(
-                "import numpy as np\n\ndef f():\n    return np.random.rand(1)\n"
-            )
-        serial = run_lint([str(tmp_path)], select=["RPR003"], jobs=1)
-        threaded = run_lint([str(tmp_path)], select=["RPR003"], jobs=4)
-        assert [v.as_dict() for v in serial.violations] == [
-            v.as_dict() for v in threaded.violations
-        ]
-        assert len(serial.violations) == 4
-
     def test_violation_format(self):
         v = Violation(check="RPR003", path="m.py", line=7, message="boom")
         assert v.format() == "m.py:7: RPR003 boom"

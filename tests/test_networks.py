@@ -1,8 +1,9 @@
 """Tests for the network substrate: topologies, policies, routing, D-BSP fitting.
 
 The columnar routing engine's contract mirrors the folding kernels':
-every vectorised router is property-tested **bit-identical** to its
-retained per-message ``route_loads_reference`` oracle on random endpoint
+every topology's fused ``route_loads_multi`` kernel is property-tested
+**bit-identical** to its retained per-message
+``route_loads_multi_reference`` oracle on random segmented endpoint
 batches, and the routing invariants (load conservation, dilation =
 longest path, free self-messages, barrier-only empty supersteps) hold
 for every topology including the new ``torus2d``/``butterfly``.
@@ -136,7 +137,7 @@ class TestTopologies:
 
 
 class TestVectorizedRouters:
-    """The vectorised kernels against the per-message reference oracles."""
+    """The fused kernels against the per-message reference oracles."""
 
     @pytest.mark.parametrize("name", ALL)
     @pytest.mark.parametrize("p", [8, 64])
@@ -144,10 +145,26 @@ class TestVectorizedRouters:
         topo = by_name(name, p)
         for _ in range(8):
             src, dst = random_endpoints(p, rng)
+            segs = int(rng.integers(1, 6))
+            seg = np.sort(rng.integers(0, segs, size=src.size))
+            grid = topo.route_loads_multi(src, dst, seg, segs)
+            ref_grid, ref_dil = topo.route_loads_multi_reference(src, dst, seg, segs)
+            assert grid.shape == (segs, topo.num_edges())
+            assert np.array_equal(grid, ref_grid)
+            dil = np.zeros(segs, dtype=np.int64)
+            np.maximum.at(dil, seg, topo.pair_distance(src, dst))
+            assert np.array_equal(dil, ref_dil)
+
+    @pytest.mark.parametrize("name", ALL)
+    def test_route_loads_is_one_segment(self, name, rng):
+        topo = by_name(name, 32)
+        for _ in range(5):
+            src, dst = random_endpoints(32, rng)
             loads, dil = topo.route_loads(src, dst)
-            ref_loads, ref_dil = topo.route_loads_reference(src, dst)
-            assert np.array_equal(loads, ref_loads)
-            assert dil == ref_dil
+            zeros = np.zeros(src.size, dtype=np.int64)
+            ref_loads, ref_dil = topo.route_loads_multi_reference(src, dst, zeros, 1)
+            assert np.array_equal(loads, ref_loads[0])
+            assert dil == ref_dil[0]
 
     @pytest.mark.parametrize("name", ALL)
     def test_load_conservation(self, name, rng):
@@ -173,9 +190,10 @@ class TestVectorizedRouters:
             (idx, (idx + p // 2) % p),
         ]:
             loads, dil = topo.route_loads(src, dst)
-            ref_loads, ref_dil = topo.route_loads_reference(src, dst)
-            assert np.array_equal(loads, ref_loads)
-            assert dil == ref_dil
+            zeros = np.zeros(src.size, dtype=np.int64)
+            ref_loads, ref_dil = topo.route_loads_multi_reference(src, dst, zeros, 1)
+            assert np.array_equal(loads, ref_loads[0])
+            assert dil == ref_dil[0]
 
 
 class TestDBSPFit:
