@@ -1,12 +1,14 @@
-"""E18 — plan-executor throughput: serial grid runner vs worker pools.
+"""E18 — plan-executor throughput: in-line stage waves vs worker pools.
 
 A portability study is a grid: one trace priced on every (topology,
-policy, p) cell.  This bench runs a 24-cell grid four ways:
+policy, p) cell.  Every plan runs as deduplicated stage waves; the
+executor only picks the substrate the waves run on.  This bench runs a
+24-cell grid several ways:
 
-* ``run_sweep`` — ``ExperimentPlan.run(executor="serial")``: cells
-  routed by the fused multi-superstep kernels;
-* ``run_sweep_parallel`` — the same plan on the ``process`` worker pool
-  (fork; prepared trace and warm fold caches inherited copy-on-write);
+* ``run_sweep`` — ``ExperimentPlan.run(executor="serial")``: waves
+  in-line, routed by the fused multi-superstep kernels;
+* ``run_sweep_thread`` — the same plan on the ``thread`` substrate
+  (a pool sharing the in-process LRUs);
 * ``run_sweep_shm`` — the persistent zero-copy worker pool
   (``SharedMemoryBackend``, pool forced on so single-CPU recordings
   measure the real dispatch path rather than the serial downgrade);
@@ -15,12 +17,11 @@ policy, p) cell.  This bench runs a 24-cell grid four ways:
   are uncacheable by design): cold pays emission + folds + routes into
   a fresh sqlite file, warm reads every row back without computing
   anything;
-* ``run_sweep_grid_serial`` / ``run_sweep_dag`` / ``run_sweep_dag_shm``
-  — the stage-graph scheduler on a multi-algorithm shared-stage grid
-  (each source priced on six topologies in both analytic and sim mode,
-  so >60% of planned stage references hit a shared node): the per-cell
-  serial reference vs ``scheduler="dag"`` in-line and over the forced
-  shm pool.  The dedup + sim-fusion win is hardware-independent.
+* ``run_sweep_stages`` / ``run_sweep_stages_shm`` — a multi-algorithm
+  shared-stage grid (each source priced on six topologies in both
+  analytic and sim mode, so >60% of planned stage references hit a
+  shared node) in-line and over the forced shm pool; the frame's dedup
+  counters show each shared stage executing once.
 
 All executor paths must produce bit-identical cell values.
 ``record_baseline.py`` records the timings; the headline ratio is
@@ -79,15 +80,15 @@ def _cold() -> None:
 
 
 def run_sweep(cfg=SCALE):
-    """Serial plan executor over the fused routing engine."""
+    """In-line stage waves over the fused routing engine."""
     _cold()
     return _plan(cfg).run(executor="serial")
 
 
-def run_sweep_parallel(cfg=SCALE):
-    """Worker-pool (fork) plan executor, cold caches in every child."""
+def run_sweep_thread(cfg=SCALE):
+    """Stage waves on a thread pool sharing the in-process LRUs."""
     _cold()
-    return _plan(cfg).run(executor="process", max_workers=4)
+    return _plan(cfg).run(executor="thread", max_workers=4)
 
 
 def run_sweep_shm(cfg=SCALE):
@@ -139,12 +140,10 @@ def run_sweep_store_warm(cfg=SCALE):
     return _grid_plan(cfg).run(store=_warm_store[key])
 
 
-#: The DAG-scheduler workload: a declarative multi-algorithm grid whose
+#: The shared-stage workload: a declarative multi-algorithm grid whose
 #: cells overlap heavily — every (source, p, topology, policy) route is
 #: shared by its analytic and sim cells, every (source, p) fold by all
 #: twelve topology/policy pairs, every emitted source by all its cells.
-#: Sources stay under the sim-fusion superstep gate, so sibling sim
-#: stages also batch into fused cycle loops.
 DAG_SOURCES = (("fft", 64), ("fft", 256), ("broadcast", 4096), ("prefix", 256))
 DAG_SOURCES_QUICK = (("fft", 64), ("broadcast", 4096))
 DAG_TOPOLOGIES = (
@@ -152,7 +151,7 @@ DAG_TOPOLOGIES = (
 )
 
 
-def _dag_plan(quick: bool = False) -> ExperimentPlan:
+def _stages_plan(quick: bool = False) -> ExperimentPlan:
     sources = DAG_SOURCES_QUICK if quick else DAG_SOURCES
     cells: list = []
     for algorithm, n in sources:
@@ -166,28 +165,21 @@ def _dag_plan(quick: bool = False) -> ExperimentPlan:
                 modes=["analytic", "sim"],
             ).cells
         )
-    return ExperimentPlan(cells, name="e18-dag")
+    return ExperimentPlan(cells, name="e18-stages")
 
 
-def run_sweep_grid_serial(quick: bool = False):
-    """Per-cell serial reference on the shared-stage grid."""
+def run_sweep_stages(quick: bool = False):
+    """The shared-stage grid, waves executed in-line."""
     clear_caches()
-    return _dag_plan(quick).run(executor="serial")
+    return _stages_plan(quick).run(executor="serial")
 
 
-def run_sweep_dag(quick: bool = False):
-    """The stage-graph scheduler, waves executed in-line."""
+def run_sweep_stages_shm(quick: bool = False):
+    """The shared-stage grid's waves dispatched through the forced shm
+    pool (cold-pool cost included, so one-core recordings price the real
+    dispatch path)."""
     clear_caches()
-    return _dag_plan(quick).run(scheduler="dag")
-
-
-def run_sweep_dag_shm(quick: bool = False):
-    """DAG waves dispatched through the forced shm pool (cold-pool cost
-    included, so one-core recordings price the real dispatch path)."""
-    clear_caches()
-    return _dag_plan(quick).run(
-        executor=SharedMemoryBackend(force=True), scheduler="dag"
-    )
+    return _stages_plan(quick).run(executor=SharedMemoryBackend(force=True))
 
 
 def test_e18_plan_executor(benchmark, quick):
@@ -199,30 +191,30 @@ def test_e18_plan_executor(benchmark, quick):
         serial = run_sweep(cfg)
         t_serial = time.perf_counter() - t0
         t0 = time.perf_counter()
-        parallel = run_sweep_parallel(cfg)
-        t_parallel = time.perf_counter() - t0
-        return serial, parallel, t_serial, t_parallel
+        thread = run_sweep_thread(cfg)
+        t_thread = time.perf_counter() - t0
+        return serial, thread, t_serial, t_thread
 
-    serial, parallel, t_serial, t_parallel = benchmark.pedantic(
+    serial, thread, t_serial, t_thread = benchmark.pedantic(
         both, rounds=1, iterations=1
     )
     cells = len(serial)
     assert cells >= (8 if quick else 24)
     # Executors must agree bit-for-bit on every cell.
-    assert serial.rows == parallel.rows
+    assert serial.rows == thread.rows
 
-    vs_serial = t_serial / t_parallel if t_parallel > 0 else float("inf")
+    vs_serial = t_serial / t_thread if t_thread > 0 else float("inf")
     routed = serial.column("routed_time")
     rows = [
         ["cells", cells, "-"],
         ["serial", round(t_serial, 3), "1.0x"],
-        ["worker pool", round(t_parallel, 3), f"{vs_serial:.2f}x vs serial"],
+        ["thread pool", round(t_thread, 3), f"{vs_serial:.2f}x vs serial"],
         ["sum routed_time", round(float(np.sum(routed)), 1), "-"],
     ]
     emit_table(
         "e18_plan_executor",
         f"E18  {cells}-cell grid: serial {t_serial:.3f}s, "
-        f"pool {t_parallel:.3f}s",
+        f"thread pool {t_thread:.3f}s",
         ["path", "seconds", "ratio"],
         rows,
     )
@@ -275,43 +267,37 @@ def test_e18_shm_and_store(benchmark, quick):
         assert warm_vs_cold > 5.0, f"warm store only {warm_vs_cold:.2f}x"
 
 
-def test_e18_dag_scheduler(benchmark, quick):
-    def dag_vs_serial():
+def test_e18_stage_dedup(benchmark, quick):
+    def inline_and_shm():
         t0 = time.perf_counter()
-        serial = run_sweep_grid_serial(quick)
-        t_serial = time.perf_counter() - t0
+        inline = run_sweep_stages(quick)
+        t_inline = time.perf_counter() - t0
         t0 = time.perf_counter()
-        dag = run_sweep_dag(quick)
-        t_dag = time.perf_counter() - t0
-        return serial, dag, t_serial, t_dag
+        shm = run_sweep_stages_shm(quick)
+        t_shm = time.perf_counter() - t0
+        return inline, shm, t_inline, t_shm
 
-    serial, dag, t_serial, t_dag = benchmark.pedantic(
-        dag_vs_serial, rounds=1, iterations=1
+    inline, shm, t_inline, t_shm = benchmark.pedantic(
+        inline_and_shm, rounds=1, iterations=1
     )
-    # The scheduler contract: bit-identical frames, each unique stage
+    # Bit-identical frames on both substrates, and each shared stage
     # executed once (the dedup counters land in the frame metadata).
-    assert dag.rows == serial.rows
-    planned = dag.metadata["dag_stages_planned"]
-    unique = dag.metadata["dag_stages_unique"]
-    assert planned == 4 * len(dag)
-    assert dag.metadata["shared_stage_ratio"] > 0.5
+    assert shm.rows == inline.rows
+    planned = inline.metadata["dag_stages_planned"]
+    unique = inline.metadata["dag_stages_unique"]
+    assert planned == 4 * len(inline)
+    assert unique < planned / 2
 
-    vs_serial = t_serial / t_dag if t_dag > 0 else float("inf")
     emit_table(
-        "e18_dag_scheduler",
-        f"E18c  {len(dag)}-cell shared-stage grid: per-cell serial "
-        f"{t_serial:.3f}s, dag {t_dag:.3f}s ({vs_serial:.2f}x); "
-        f"{planned} planned stages -> {unique} unique",
+        "e18_stage_dedup",
+        f"E18c  {len(inline)}-cell shared-stage grid: in-line "
+        f"{t_inline:.3f}s, shm {t_shm:.3f}s on {os.cpu_count() or 1} "
+        f"core(s); {planned} planned stages -> {unique} unique",
         ["path", "seconds", "note"],
         [
-            ["per-cell serial", round(t_serial, 3), "1.0x"],
-            ["dag scheduler", round(t_dag, 3), f"{vs_serial:.2f}x vs serial"],
+            ["in-line waves", round(t_inline, 3), "-"],
+            ["shm waves", round(t_shm, 3), f"{os.cpu_count() or 1} core(s)"],
             ["stages planned", planned, "-"],
-            ["stages unique", unique,
-             f"shared ratio {dag.metadata['shared_stage_ratio']:.2f}"],
+            ["stages unique", unique, f"shared {1 - unique / planned:.2f}"],
         ],
     )
-    if not quick:
-        # Dedup + sim fusion must beat the per-cell path outright —
-        # this is a single-core win, no parallelism involved.
-        assert vs_serial > 1.2, f"dag scheduler only {vs_serial:.2f}x"

@@ -44,13 +44,9 @@ WORKLOADS = [
     ("bench_e17_routing_kernels", "run_sweep", "e17_routing_vectorized"),
     ("bench_e17_routing_kernels", "run_sweep_reference", "e17_routing_reference"),
     ("bench_e18_plan_executor", "run_sweep", "e18_plan_serial"),
-    ("bench_e18_plan_executor", "run_sweep_parallel", "e18_plan_workerpool"),
     ("bench_e18_plan_executor", "run_sweep_shm", "e18_plan_shm"),
     ("bench_e18_plan_executor", "run_sweep_store_cold", "e18_plan_store_cold"),
     ("bench_e18_plan_executor", "run_sweep_store_warm", "e18_plan_store_warm"),
-    ("bench_e18_plan_executor", "run_sweep_grid_serial", "e18_plan_grid_serial"),
-    ("bench_e18_plan_executor", "run_sweep_dag", "e18_plan_dag"),
-    ("bench_e18_plan_executor", "run_sweep_dag_shm", "e18_plan_dag_shm"),
     ("bench_e19_cycle_sim", "run_sweep_reference", "e19_cycle_sim"),
     ("bench_e19_cycle_sim", "run_sweep", "e19_cycle_sim_fast"),
 ]
@@ -159,15 +155,11 @@ def main() -> None:
     vec, ref = sec.get("e17_routing_vectorized"), sec.get("e17_routing_reference")
     if vec and ref:
         data["e17_routing_speedup_vectorized_vs_reference"] = round(ref / vec, 2)
-    # E18: worker-pool vs serial (this reflects however many cores the
-    # recording host grants).
+    # E18: the shm pool ratio is recorded with the core count it was
+    # measured on: a single-core container legitimately records <= 1.0x
+    # (the pool is forced on in the bench so the dispatch path itself is
+    # timed).
     serial = sec.get("e18_plan_serial")
-    pool = sec.get("e18_plan_workerpool")
-    if serial and pool:
-        data["e18_plan_workerpool_vs_serial"] = round(serial / pool, 2)
-    # The shm pool ratio is recorded with the core count it was measured
-    # on: a single-core container legitimately records <= 1.0x (the pool
-    # is forced on in the bench so the dispatch path itself is timed).
     shm = sec.get("e18_plan_shm")
     if serial and shm:
         data["e18_plan_shm_vs_serial"] = round(serial / shm, 2)
@@ -178,17 +170,6 @@ def main() -> None:
     store_warm = sec.get("e18_plan_store_warm")
     if store_cold and store_warm:
         data["e18_plan_store_warm_vs_cold"] = round(store_cold / store_warm, 2)
-    # The stage-graph scheduler vs the per-cell serial path on the same
-    # shared-stage grid: stage dedup + sim fusion, a single-core win
-    # (acceptance floor 1.3x).  The shm variant additionally pays pool
-    # dispatch, so one-core recordings may land below the serial ratio.
-    grid_serial = sec.get("e18_plan_grid_serial")
-    dag = sec.get("e18_plan_dag")
-    dag_shm = sec.get("e18_plan_dag_shm")
-    if grid_serial and dag:
-        data["e18_plan_dag_vs_serial"] = round(grid_serial / dag, 2)
-    if grid_serial and dag_shm:
-        data["e18_plan_dag_shm_vs_serial"] = round(grid_serial / dag_shm, 2)
     # E19: the measured/(C+D) bound constant per (topology, policy) cell
     # of the E11 grid — the hidden LMR constant the cycle-accurate
     # simulator exists to pin down (acceptance band: every cell <= 4).

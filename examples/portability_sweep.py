@@ -67,7 +67,7 @@ def main(n: int = 1024) -> None:
 
     print("\nWhole-trace network sweep — routed time on the full")
     print("topology x routing-policy x p grid, as one declarative")
-    print("ExperimentPlan on the worker-pool executor:")
+    print("ExperimentPlan on the shared-memory worker pool:")
     plan = ExperimentPlan.from_trace(
         m_obl,
         ps=[4, 16],
@@ -75,7 +75,7 @@ def main(n: int = 1024) -> None:
         policies=("dimension-order", "valiant"),
         name="routed time",
     )
-    frame = plan.run(executor="process")
+    frame = plan.run(executor="shm")
     print(frame)
 
     print(

@@ -94,12 +94,9 @@ class ResultFrame:
     run-level facts — the requested executor, the backend that
     *effectively* ran the cells (``executor_effective`` differs from
     ``executor`` when a backend degraded, with the reason alongside),
-    result-store hit counts, the ``scheduler`` that mapped cells onto
-    the backend, and — on DAG-scheduled runs — the dedup accounting
+    result-store hit counts, and the stage-wave dedup accounting
     (``dag_stages_planned`` / ``_unique`` / ``_executed`` /
-    ``_cache_hit`` and ``shared_stage_ratio``, the fraction of planned
-    stage references served by a shared node); read it as a dict via
-    :attr:`metadata`.
+    ``_cache_hit``); read it as a dict via :attr:`metadata`.
     """
 
     columns: tuple[str, ...]

@@ -1,9 +1,9 @@
-"""Declarative experiment plans: grids of cells run by a worker pool.
+"""Declarative experiment plans: grids of cells run as stage waves.
 
 An :class:`ExperimentPlan` is a list of :class:`PlanCell` measurements —
 (algorithm, size, p, sigma, topology, policy, machine) — expanded from a
-grid or loaded from JSON, executed serially or by a
-``concurrent.futures`` worker pool, and collected into a
+grid or loaded from JSON, executed as deduplicated stage waves
+(:mod:`repro.exec.dag`), and collected into a
 :class:`~repro.api.frame.ResultFrame`.  Each distinct (algorithm, size,
 seed) source is materialised exactly once (before any worker starts);
 the cells then share the folding and routing LRUs, so a whole
@@ -16,13 +16,13 @@ topology x policy x p grid prices one trace with zero re-execution::
     )
     frame = plan.run(executor="shm", store="results.db")
 
-Execution is pluggable: ``executor`` names a backend in the
-:mod:`repro.exec` registry (``serial``, ``thread``, ``process``,
-``shm``, or any :class:`~repro.exec.ExecutorBackend` instance — the
-``REPRO_EXECUTOR`` environment variable overrides the default) and
-``store`` wraps it in the persistent sqlite result store, so repeated
-sweeps across processes and CI runs hit warm rows instead of
-re-simulating.  Backends return bit-identical frames: every cell
+Execution is pluggable: ``executor`` names the substrate the waves run
+on, a backend in the :mod:`repro.exec` registry (``serial``,
+``thread``, ``shm``, or any :class:`~repro.exec.ExecutorBackend`
+instance — the ``REPRO_EXECUTOR`` environment variable overrides the
+default) and ``store`` wraps it in the persistent sqlite result store,
+so repeated sweeps across processes and CI runs hit warm rows instead
+of re-simulating.  Backends return bit-identical frames: every cell
 computes the same deterministic quantities, the backend only changes
 where; what actually ran is recorded in the frame's ``meta``
 (``executor_effective``, downgrade reasons, store hit counts).
@@ -294,7 +294,7 @@ class ExperimentPlan:
         Plan-provided traces/results for ``@name`` cells.
     machines:
         Optional mapping for ``machine`` cells (defaults to
-        ``models.PRESETS``); custom builders keep ``d_sweep`` expressible.
+        ``models.PRESETS``); custom builders price any machine family.
     """
 
     def __init__(
@@ -475,21 +475,23 @@ class ExperimentPlan:
         max_workers: int | None = None,
         check: bool = False,
         store: "str | Path | Any | None" = None,
-        scheduler: str | None = None,
     ) -> ResultFrame:
         """Execute every cell and collect the frame (always cell order).
 
-        ``executor`` names an execution backend in the
-        :mod:`repro.exec` registry — ``"serial"``, ``"thread"``
-        (shares the in-process fold/route/sim LRUs across workers),
-        ``"process"`` (fork-based pool, prepared state inherited
-        copy-on-write) or ``"shm"`` (persistent worker pool over
-        zero-copy shared-memory sources) — or is an
+        Cells run as deduplicated stage waves (:mod:`repro.exec.dag`):
+        each unique emit/fold/route/sim stage executes once, then every
+        row is assembled by the per-cell evaluator.  ``executor`` names
+        the substrate the waves run on, a backend in the
+        :mod:`repro.exec` registry — ``"serial"`` (in-line),
+        ``"thread"`` (a pool sharing the in-process fold/route/sim
+        LRUs) or ``"shm"`` (persistent worker pool over zero-copy
+        shared-memory sources) — or is an
         :class:`~repro.exec.ExecutorBackend` instance.  Default: the
         ``REPRO_EXECUTOR`` environment variable, else ``"serial"``.
         All backends produce bit-identical rows; the frame's ``meta``
         records what actually ran (``executor_effective`` — backends
-        degrade gracefully and say so — plus any store statistics).
+        degrade gracefully and say so), the stage dedup counters and
+        any store statistics.
 
         ``store`` — a path or :class:`~repro.exec.ResultStore` — wraps
         the backend in the persistent cell-hash result cache: warm cells
@@ -499,31 +501,10 @@ class ExperimentPlan:
         its spec's ``adapt`` numpy oracle and reports the verdict in the
         frame's ``correct`` column (``None`` for sources without an
         oracle) — the grid doubles as a correctness sweep.
-
-        ``scheduler`` selects how cells map onto the backend:
-        ``"cells"`` (the reference path — the backend evaluates whole
-        cells) or ``"dag"`` (the stage-graph scheduler of
-        :mod:`repro.exec.dag`: shared emit/fold/route/sim stages
-        deduplicate across cells and execute once, sibling sim stages
-        fuse into batched cycle loops, and the frame's metadata records
-        the dedup counters).  Default: the ``REPRO_PLAN_DAG``
-        environment variable, else ``"cells"``.  Both schedulers
-        produce bit-identical frames.
         """
-        from repro.exec import CachedBackend, DagBackend, ExecutorBackend, by_executor
-        from repro.exec.dag import (
-            dag_env_enabled,
-            shared_stage_ratio,
-            warn_shared_stages,
-        )
+        from repro.exec import CachedBackend, ExecutorBackend, by_executor
 
         self.validate()
-        if scheduler is None:
-            scheduler = "dag" if dag_env_enabled() else "cells"
-        if scheduler not in ("cells", "dag"):
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; choose 'cells' or 'dag'"
-            )
         if executor is None:
             executor = os.environ.get("REPRO_EXECUTOR") or "serial"
         backend = (
@@ -531,31 +512,12 @@ class ExperimentPlan:
             if isinstance(executor, ExecutorBackend)
             else by_executor(executor)
         )
-        requested = backend.name
-        info: dict[str, Any] = {"executor": requested}
-        if scheduler == "dag" and requested != "dag":
-            if isinstance(backend, CachedBackend):
-                # The store stays outermost: hits must keep skipping
-                # everything, so the DAG schedules only the misses.
-                if not isinstance(backend.inner, DagBackend):
-                    backend = CachedBackend(
-                        backend.store, DagBackend(backend.inner)
-                    )
-            else:
-                backend = DagBackend(backend)
-        elif requested in ("thread", "process", "shm"):
-            # The silent parallel-regression footgun: a multi-worker
-            # backend re-derives every shared stage in every worker.
-            ratio = shared_stage_ratio(self.cells)
-            info["shared_stage_ratio"] = round(ratio, 4)
-            warn_shared_stages(ratio, requested)
+        info: dict[str, Any] = {"executor": backend.name}
         if store is not None:
             backend = CachedBackend(store, backend)
         runtime = _PlanRuntime(self, check=check)
         rows, meta = backend.run(runtime, max_workers=max_workers)
         info.update(meta)
-        info.setdefault("executor_effective", requested)
-        info.setdefault("scheduler", scheduler)
         return ResultFrame(
             RESULT_COLUMNS,
             tuple(rows),

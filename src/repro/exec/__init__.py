@@ -1,31 +1,35 @@
 """Pluggable plan-execution backends behind one registry.
 
-One narrow contract (:class:`ExecutorBackend`) decouples *what* a plan
-measures from *where* its cells run::
+Every plan runs through one scheduler — the stage-graph waves of
+:mod:`repro.exec.dag` — and one narrow contract
+(:class:`ExecutorBackend`) names the *substrate* those waves run on::
+
+    cells -> emit -> fold -> route -> sim/metrics -> assemble
+                      (waves on a substrate)
 
     executor registry (by_executor, mirroring networks.by_name)
-        serial | thread | process   (the classic executors, re-homed)
+        serial                      (waves in-line on the calling thread)
+        thread                      (a thread pool sharing the LRUs)
         shm                         (persistent pool, zero-copy shared
-                                     sources, columnar row returns)
+                                     sources and routed profiles)
         + CachedBackend(store=...)  (persistent sqlite cell-hash store
                                      wrapping any inner backend)
 
 All registered backends produce bit-identical
 :class:`~repro.api.frame.ResultFrame` rows (property-tested); they only
 differ in throughput and in the metadata they record on the frame
-(effective backend, downgrade reasons, store hit counts).
+(effective substrate, downgrade reasons, store hit counts).
 """
 
 from repro.exec.base import ExecutorBackend
 from repro.exec.dag import (
-    DagBackend,
     StageGraph,
+    Substrate,
     clear_dag_stats,
     dag_stats,
-    shared_stage_ratio,
     stage_kernel,
 )
-from repro.exec.local import ProcessBackend, SerialBackend, ThreadBackend
+from repro.exec.local import SerialBackend, ThreadBackend
 from repro.exec.registry import EXECUTORS, by_executor, executors, register_executor
 from repro.exec.shm import SharedMemoryBackend, shutdown_pool
 from repro.exec.store import (
@@ -40,12 +44,10 @@ __all__ = [
     "ExecutorBackend",
     "SerialBackend",
     "ThreadBackend",
-    "ProcessBackend",
     "SharedMemoryBackend",
-    "DagBackend",
+    "Substrate",
     "StageGraph",
     "stage_kernel",
-    "shared_stage_ratio",
     "dag_stats",
     "clear_dag_stats",
     "CachedBackend",

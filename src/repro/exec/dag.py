@@ -3,12 +3,9 @@
 An :class:`~repro.api.plan.ExperimentPlan` is a grid, and grid cells
 share almost everything: every (topology, policy, p) pair re-prices the
 same emitted trace, every arbiter re-simulates the same routed fold.
-The per-cell executors only exploit that overlap implicitly — the
-serial backend rides the in-process LRUs, while process/shm workers
-re-derive shared stages from cold caches in every worker.
-
-:class:`DagBackend` makes the overlap explicit.  Planning turns the
-cell list into a deduplicated DAG of *stage nodes* —
+Every plan run therefore goes through one scheduler,
+:func:`run_stage_waves`.  Planning turns the cell list into a
+deduplicated DAG of *stage nodes* —
 
     emit(algorithm, n, seed)
       -> fold(trace, p)
@@ -17,25 +14,25 @@ cell list into a deduplicated DAG of *stage nodes* —
           -> metrics(route, sigma, ...)         [analytic cells]
 
 — keyed by the same identity tuples the fold/route/sim LRUs use, so
-each unique stage executes exactly once per run regardless of executor.
-The scheduler then batches ready nodes into waves:
+each unique stage executes exactly once per run.  The scheduler then
+batches ready nodes into waves:
 
 * the **emit wave** is ``runtime.prepare`` (already deduplicated);
-* the **route wave** executes every LRU-cold route node — folds run
-  inside their route stage — through the inner backend's substrate
-  (in-line, thread pool, forked pool, or the persistent shared-memory
-  pool with zero-copy trace columns);
-* the **sim wave** groups cold sim nodes by ``flits_per_message`` and
-  *fuses* sibling nodes into single :func:`repro.sim.engine.simulate_many`
-  calls — the batch path per-cell execution can never reach — gated by
-  :data:`FUSE_MAX_SUPERSTEPS` (fusion amortises per-phase launch
-  overhead across many *small* supersteps; long-superstep traces
-  simulate per stage, where the fused pass is measurably slower);
-* **assembly** evaluates each cell against the now-warm LRUs, in
-  chunks interleaved with the sim wave so profiles are consumed before
-  LRU pressure can evict them.  Rows are therefore bit-identical to the
-  per-cell path by construction: ``eval_cell`` performs the very same
-  lookups, it just never misses.
+* each **route wave** executes the LRU-cold route nodes of one chunk —
+  folds run inside their route stage — on the backend's
+  :class:`Substrate` (in-line, a thread pool, or the persistent
+  shared-memory pool with zero-copy trace columns);
+* each **sim wave** executes the cold sim nodes hanging off that route
+  chunk, again on the substrate;
+* **assembly** evaluates each dependent cell with
+  ``runtime.eval_cell`` against the now-warm LRUs.  Rows are therefore
+  bit-identical to per-cell evaluation by construction: ``eval_cell``
+  performs the very same lookups, it just never misses.
+
+Route chunks hold at most the route LRU's capacity and sim waves at
+most the sim LRU's, and every chunk's cells are assembled before the
+next chunk runs — so no wave can evict a profile its own cells still
+need, and every stage is computed once however large the plan.
 
 Worker-computed artifacts are re-inserted into the parent's LRUs via
 the ``seed_*_cache`` hooks (:func:`repro.networks.routing.seed_route_cache`,
@@ -44,70 +41,37 @@ read-only flag, so seeding re-freezes every array before insertion.
 
 Dedup counters (stage references planned vs unique nodes vs executed vs
 LRU-warm) are recorded on the frame's metadata and aggregate process-wide
-under ``repro.cache_stats()["dag"]``.  :func:`shared_stage_ratio` prices
-the overlap of a declared cell list without preparing anything — the
-plan runner uses it to warn when a multi-worker executor is about to
-re-derive >50% shared work without this scheduler.
+under ``repro.cache_stats()["dag"]``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import pickle
 import threading
-import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
-from repro.exec.base import ExecutorBackend
-from repro.exec.registry import by_executor, register_executor
 from repro.util import sanitize
 from repro.util.caches import register_cache
 
 __all__ = [
-    "DagBackend",
+    "Substrate",
     "StageGraph",
+    "run_stage_waves",
     "stage_kernel",
     "STAGE_KERNELS",
-    "FUSE_MAX_SUPERSTEPS",
-    "shared_stage_ratio",
     "dag_stats",
     "clear_dag_stats",
 ]
-
-_TRUTHY = {"1", "true", "yes", "on"}
-
-
-def dag_env_enabled() -> bool:
-    """Does ``REPRO_PLAN_DAG`` select the DAG scheduler by default?"""
-    return os.environ.get("REPRO_PLAN_DAG", "").strip().lower() in _TRUTHY
-
-
-#: Sim nodes whose (unfolded) trace has at most this many supersteps
-#: join a fused :func:`simulate_many` batch; longer traces simulate per
-#: stage.  The fused cycle loop amortises per-phase Python overhead
-#: across cells but pays one merged sort over every cell's supersteps —
-#: measured on this grid family it wins ~1.4-1.6x below ~twenty
-#: supersteps per cell and loses ~4x at several hundred.
-FUSE_MAX_SUPERSTEPS = 64
-
-#: Cold sim nodes executed (and their dependent cells assembled) per
-#: scheduling chunk.  Must stay safely below the sim LRU capacity (128):
-#: a chunk's profiles are consumed by assembly before the next chunk's
-#: insertions can evict them.
-SIM_CHUNK = 32
 
 
 # ----------------------------------------------------------------------
 # Stage kernels
 # ----------------------------------------------------------------------
-#: kind -> the pure function executing one stage node (or one batch of
-#: sibling nodes).  Lint's RPR007 holds every registered kernel to the
-#: stage-purity contract: results may depend only on the arguments (and
-#: the registered LRUs the kernels ride), never on other module-level
-#: mutable state — the same node must compute the same artifact in the
-#: parent, a thread, a forked worker or a shared-memory worker.
+#: kind -> the pure function executing one stage node.  Lint's RPR007
+#: holds every registered kernel to the stage-purity contract: results
+#: may depend only on the arguments (and the registered LRUs the kernels
+#: ride), never on other module-level mutable state — the same node must
+#: compute the same artifact in the parent, a thread or a shared-memory
+#: worker.
 STAGE_KERNELS: dict[str, Callable] = {}
 
 _kernel_lock = threading.Lock()
@@ -145,38 +109,6 @@ def _sim_stage(
     )
 
 
-@stage_kernel("sim-batch")
-def _sim_batch_stage(specs: "list[tuple]", gate: int) -> list:
-    """Execute a batch of sim nodes, fusing the small-superstep ones.
-
-    ``specs`` entries are ``(trace, topo, policy, arbiter, arbiter_seed,
-    flits)``.  Nodes at or under ``gate`` supersteps are grouped by
-    ``flits`` and fused through :func:`simulate_many` (dynamic-rank
-    arbiters fall back per cell inside); the rest simulate per stage.
-    Returns the profiles in spec order — cache keys and contents are
-    bit-identical to per-stage execution either way.
-    """
-    from repro.sim import by_arbiter
-    from repro.sim.engine import simulate_many
-
-    out: list = [None] * len(specs)
-    fuse_groups: dict[int, list[int]] = {}
-    for j, (trace, topo, policy, arb, aseed, flits) in enumerate(specs):
-        if trace.num_supersteps <= gate:
-            fuse_groups.setdefault(flits, []).append(j)
-        else:
-            out[j] = _sim_stage(trace, topo, policy, arb, aseed, flits)
-    for flits, idxs in fuse_groups.items():
-        items = [
-            (specs[j][0], specs[j][1], specs[j][2],
-             by_arbiter(specs[j][3], specs[j][4]))
-            for j in idxs
-        ]
-        for j, prof in zip(idxs, simulate_many(items, flits_per_message=flits)):
-            out[j] = prof
-    return out
-
-
 # ----------------------------------------------------------------------
 # Process-wide dedup counters (the "dag" cache_stats provider)
 # ----------------------------------------------------------------------
@@ -191,7 +123,7 @@ _totals = {
 
 
 def dag_stats() -> dict[str, int]:
-    """Aggregate scheduler counters across every DAG-scheduled run."""
+    """Aggregate scheduler counters across every plan run."""
     with _stats_lock:
         return dict(_totals)
 
@@ -216,50 +148,36 @@ register_cache("dag", dag_stats, clear_dag_stats)
 # ----------------------------------------------------------------------
 # Planning
 # ----------------------------------------------------------------------
-def _cell_stage_keys(
-    cell: Any, source_key: tuple, p: Any, policy_key: Any
-) -> tuple:
-    """(fold, route, sim, metrics) keys of one topology cell."""
-    fold_key = (source_key, p)
-    route_key = (source_key, cell.topology, p, policy_key)
-    sim_key = metrics_key = None
-    if cell.mode == "sim":
-        sim_key = route_key + (
-            cell.arbiter, cell.arbiter_seed, cell.flits_per_message
-        )
-    else:
-        metrics_key = route_key + (cell.sigma, cell.relative_to_dbsp)
-    return fold_key, route_key, sim_key, metrics_key
-
-
 class StageGraph:
     """The deduplicated stage DAG of one plan run over ``indices``.
 
     Built after ``runtime.prepare`` (node identity needs each source's
     virtual processor count for cells with ``p=None``).  Holds the
-    unique route/sim nodes with their live arguments, the cell lists
-    hanging off every sim node, and the dedup counters.
+    unique route/sim nodes with their live arguments, the cells and sim
+    nodes hanging off every route node, and the dedup counters.
     """
 
     def __init__(self, runtime: Any, indices: Sequence[int]) -> None:
         from repro.networks import RoutingPolicy, by_policy
 
-        self.runtime = runtime
-        self.indices = list(indices)
         #: route_key -> (trace, topo, policy)
         self.route_nodes: dict[tuple, tuple] = {}
         #: sim_key -> (trace, topo, policy, arbiter, arbiter_seed, flits)
         self.sim_nodes: dict[tuple, tuple] = {}
+        #: route_key -> analytic cells assembled once the route exists
+        self.cells_by_route: dict[tuple, list[int]] = {}
+        #: route_key -> sim keys simulated against that route
+        self.sims_by_route: dict[tuple, list[tuple]] = {}
         #: sim_key -> cell indices assembled once the node's profile exists
         self.cells_by_sim: dict[tuple, list[int]] = {}
-        #: cells with no sim dependency (assembled right after routes)
+        #: cells with no route dependency (structural, H and D cells)
         self.plain_cells: list[int] = []
         emit_keys: set = set()
         fold_keys: set = set()
         metrics_keys: set = set()
         planned = 0
         policies: dict[tuple, Any] = {}
-        for i in self.indices:
+        for i in indices:
             cell = runtime.cells[i]
             skey = runtime._source_key(cell)
             planned += 1  # one emit reference per cell
@@ -275,27 +193,29 @@ class StageGraph:
                 policy = policies.get(pkey)
                 if policy is None:
                     policy = policies[pkey] = by_policy(*pkey)
-            fold_key, route_key, sim_key, metrics_key = _cell_stage_keys(
-                cell, skey, p, policy.cache_key()
-            )
-            planned += 2  # fold + route references
-            fold_keys.add(fold_key)
+            route_key = (skey, cell.topology, p, policy.cache_key())
+            planned += 3  # fold + route + (sim | metrics) references
+            fold_keys.add((skey, p))
             if route_key not in self.route_nodes:
                 self.route_nodes[route_key] = (
                     tm.trace, runtime.topology(cell.topology, p), policy
                 )
-            if sim_key is not None:
-                planned += 1
-                if sim_key not in self.sim_nodes:
-                    self.sim_nodes[sim_key] = (
-                        tm.trace, runtime.topology(cell.topology, p), policy,
-                        cell.arbiter, cell.arbiter_seed, cell.flits_per_message,
-                    )
-                self.cells_by_sim.setdefault(sim_key, []).append(i)
-            else:
-                planned += 1
-                metrics_keys.add(metrics_key)
-                self.plain_cells.append(i)
+                self.cells_by_route[route_key] = []
+                self.sims_by_route[route_key] = []
+            if cell.mode != "sim":
+                metrics_keys.add(route_key + (cell.sigma, cell.relative_to_dbsp))
+                self.cells_by_route[route_key].append(i)
+                continue
+            sim_key = route_key + (
+                cell.arbiter, cell.arbiter_seed, cell.flits_per_message
+            )
+            if sim_key not in self.sim_nodes:
+                self.sim_nodes[sim_key] = self.route_nodes[route_key] + (
+                    cell.arbiter, cell.arbiter_seed, cell.flits_per_message
+                )
+                self.sims_by_route[route_key].append(sim_key)
+                self.cells_by_sim[sim_key] = []
+            self.cells_by_sim[sim_key].append(i)
         unique = (
             len(emit_keys) + len(fold_keys) + len(self.route_nodes)
             + len(self.sim_nodes) + len(metrics_keys)
@@ -312,545 +232,126 @@ class StageGraph:
             "metrics_nodes": len(metrics_keys),
         }
 
-    @property
-    def shared_ratio(self) -> float:
-        """Fraction of planned stage references served by a shared node."""
-        planned = self.counters["planned"]
-        return 1.0 - self.counters["unique"] / planned if planned else 0.0
-
-
-def shared_stage_ratio(cells: Sequence[Any]) -> float:
-    """Stage-work overlap of a declared cell list, without preparing it.
-
-    The declarative twin of :attr:`StageGraph.shared_ratio`: stage keys
-    are derived from the cell fields alone (a ``p=None`` cell folds at
-    its source's native width, which is constant per source, so a
-    placeholder keeps dedup exact).  Used by the plan runner to detect
-    grids whose cells share most of their work *before* handing them to
-    a multi-worker executor that would re-derive every shared stage.
-    """
-    from repro.api import registry
-    from repro.networks import RoutingPolicy
-
-    emit_keys: set = set()
-    fold_keys: set = set()
-    route_keys: set = set()
-    sim_keys: set = set()
-    metrics_keys: set = set()
-    planned = 0
-    for cell in cells:
-        if cell.algorithm.startswith("@"):
-            skey: tuple = ("@", cell.algorithm[1:])
-        else:
-            spec = registry.by_name(cell.algorithm)
-            p_id = cell.p if spec.needs_p else None
-            skey = (cell.algorithm, cell.n, cell.seed, cell.params, p_id)
-        planned += 1
-        emit_keys.add(skey)
-        if cell.topology is None:
-            continue
-        p = cell.p if cell.p is not None else ("native", skey)
-        policy = cell.policy if cell.policy is not None else "dimension-order"
-        policy_key = (
-            policy.cache_key()
-            if isinstance(policy, RoutingPolicy)
-            else (policy, cell.policy_seed)
-        )
-        fold_key, route_key, sim_key, metrics_key = _cell_stage_keys(
-            cell, skey, p, policy_key
-        )
-        planned += 2
-        fold_keys.add(fold_key)
-        route_keys.add(route_key)
-        planned += 1
-        if sim_key is not None:
-            sim_keys.add(sim_key)
-        else:
-            metrics_keys.add(metrics_key)
-    if not planned:
-        return 0.0
-    unique = (
-        len(emit_keys) + len(fold_keys) + len(route_keys)
-        + len(sim_keys) + len(metrics_keys)
-    )
-    return 1.0 - unique / planned
-
-
-_shared_warned = False
-
-
-def warn_shared_stages(ratio: float, executor: str) -> None:
-    """Warn once per process when a multi-worker executor is about to
-    re-derive majority-shared stage work without the DAG scheduler."""
-    global _shared_warned
-    if ratio <= 0.5 or _shared_warned:
-        return
-    _shared_warned = True
-    warnings.warn(
-        f"plan cells share {ratio:.0%} of their stage work, but executor "
-        f"{executor!r} re-derives shared stages in every worker; run with "
-        "scheduler='dag' (or REPRO_PLAN_DAG=1) to execute each stage once",
-        RuntimeWarning,
-        stacklevel=4,
-    )
-
-
-def _reset_shared_stage_warning() -> None:
-    """Re-arm the once-per-process warning (tests only)."""
-    global _shared_warned
-    _shared_warned = False
-
 
 # ----------------------------------------------------------------------
-# Fork-substrate wave dispatch (module globals by necessity: fork shares
-# them copy-on-write; the lock serialises concurrent DAG runs)
+# Substrates
 # ----------------------------------------------------------------------
-_FORK_SPECS: Any = None
-_dag_fork_lock = threading.Lock()
+class Substrate:
+    """Where one plan run executes its waves of cold stage nodes.
 
+    This base runs every wave in-line on the calling thread, so the
+    artifacts land in the LRUs directly; it is the ``serial`` substrate
+    and the fallback a backend degrades to.  Subclasses override
+    :meth:`routes`/:meth:`sims` (and :meth:`close`).  ``effective``
+    names what actually ran; ``meta`` carries run facts for the frame
+    (a downgrade reason, a pool size).
 
-def _fork_route_one(j: int) -> Any:
-    trace, topo, policy = _FORK_SPECS[j]
-    return _route_stage(trace, topo, policy)
-
-
-def _fork_sim_chunk(bounds: tuple[int, int]) -> list:
-    lo, hi = bounds
-    return _sim_batch_stage(_FORK_SPECS[lo:hi], FUSE_MAX_SUPERSTEPS)
-
-
-# ----------------------------------------------------------------------
-# Shared-memory-substrate wave dispatch (workers rebuild the runtime
-# from the packed trace columns, zero-copy, and return artifacts)
-# ----------------------------------------------------------------------
-def _shm_route_shard(payload: dict, specs: list[tuple]) -> list:
-    """Worker entry: route nodes against zero-copy shared trace columns."""
-    from repro.exec.shm import _attach_runtime
-
-    runtime = _attach_runtime(payload)
-    out = []
-    for skey, topo_name, p, policy in specs:
-        trace = runtime._tms[skey].trace
-        out.append(_route_stage(trace, runtime.topology(topo_name, p), policy))
-    return out
-
-
-def _shm_sim_shard(
-    payload: dict, profile_block: dict | None, specs: list[tuple]
-) -> list:
-    """Worker entry: sim nodes, seeding routes from the shared profile block.
-
-    ``profile_block`` carries the route wave's results as zero-copy
-    shared arrays; seeding them into this worker's route LRU means the
-    sim stages' profile assembly never re-routes.
-    """
-    from repro.exec.shm import _attach_profiles, _attach_runtime
-    from repro.networks import seed_route_cache
-
-    runtime = _attach_runtime(payload)
-    if profile_block is not None:
-        for (skey, topo_name, p, policy), profile in _attach_profiles(
-            profile_block
-        ):
-            trace = runtime._tms[skey].trace
-            seed_route_cache(trace, runtime.topology(topo_name, p), policy, profile)
-    live = [
-        (runtime._tms[skey].trace, runtime.topology(topo_name, p), policy,
-         arb, aseed, flits)
-        for skey, topo_name, p, policy, arb, aseed, flits in specs
-    ]
-    return _sim_batch_stage(live, FUSE_MAX_SUPERSTEPS)
-
-
-# ----------------------------------------------------------------------
-# The backend
-# ----------------------------------------------------------------------
-class DagBackend(ExecutorBackend):
-    """Run a plan as a deduplicated stage DAG over any inner backend.
-
-    Parameters
-    ----------
-    inner:
-        The execution substrate for stage waves — a registered backend
-        name or instance.  ``serial`` executes waves in-line; ``thread``
-        maps cold nodes over a thread pool (sharing the in-process
-        LRUs); ``process`` forks a pool per wave (workers inherit the
-        previous waves' warm LRUs copy-on-write and ship artifacts
-        back); ``shm`` dispatches shards through the persistent
-        shared-memory pool with zero-copy trace columns and route
-        profiles.  Unknown substrates fall back to in-line waves.
-    reverse_waves:
-        Execute each wave's ready nodes in reverse planning order —
-        results are bit-identical by construction (the order-independence
-        property the tests pin down).
+    A wave is a list of ``(key, node)`` pairs: ``key`` is the
+    :class:`StageGraph` node key and ``node`` the stage kernel's
+    arguments.  When a wave returns, every node's artifact must be in
+    this process's LRU.
     """
 
-    name = "dag"
+    def __init__(self, effective: str = "serial", **meta: Any) -> None:
+        self.effective = effective
+        self.meta = meta
 
-    def __init__(
-        self,
-        inner: "ExecutorBackend | str" = "serial",
-        *,
-        reverse_waves: bool = False,
-    ) -> None:
-        self.inner = inner if isinstance(inner, ExecutorBackend) else by_executor(inner)
-        if isinstance(self.inner, DagBackend):
-            raise TypeError("cannot nest DagBackend inside DagBackend")
-        self.reverse_waves = reverse_waves
+    def routes(self, cold: list[tuple[tuple, tuple]]) -> None:
+        for _key, node in cold:
+            _route_stage(*node)
 
-    # -- scheduling ----------------------------------------------------
-    def run(
-        self,
-        runtime: Any,
-        *,
-        max_workers: int | None = None,
-        indices: Any = None,
-    ) -> tuple[list[tuple], dict]:
-        if indices is None:
-            indices = range(len(runtime.cells))
-        indices = list(indices)
-        sources_before = len(runtime._tms)
-        runtime.prepare(indices)
-        graph = StageGraph(runtime, indices)
-        graph.counters["executed"] += len(runtime._tms) - sources_before
-        meta: dict[str, Any] = {"scheduler": "dag"}
-        substrate = self._substrate(runtime, indices, max_workers, meta)
-        rows: dict[int, tuple] = {}
-        try:
-            self._route_wave(graph, substrate)
-            for i in graph.plain_cells:
-                rows[i] = self._eval(runtime, i)
-            self._sim_wave_and_assemble(graph, substrate, rows)
-        finally:
-            substrate.close()
-        _accumulate(graph.counters)
-        meta.update(
-            executor_effective=substrate.effective,
-            dag_stages_planned=graph.counters["planned"],
-            dag_stages_unique=graph.counters["unique"],
-            dag_stages_executed=graph.counters["executed"],
-            dag_stages_cache_hit=graph.counters["cache_hit"],
-            shared_stage_ratio=round(graph.shared_ratio, 4),
-        )
-        return [rows[i] for i in indices], meta
-
-    def execute(
-        self, runtime: Any, indices: list[int], *, max_workers: int | None = None
-    ) -> list[tuple]:
-        # Satisfies the ABC; ``run`` owns scheduling end to end.
-        return self.run(runtime, indices=indices, max_workers=max_workers)[0]
-
-    def _eval(self, runtime: Any, i: int) -> tuple:
-        """Assemble one cell row off the warm LRUs (sampled cross-check
-        against a fresh, cache-bypassing per-cell recompute under
-        ``REPRO_SANITIZE=1``)."""
-        row = runtime.eval_cell(i)
-        if sanitize.enabled() and sanitize.should_spotcheck():
-            sanitize.check_row_parity(
-                row, _fresh_eval(runtime, i), f"dag cell {i}"
-            )
-        return row
-
-    def _ordered(self, items: list) -> list:
-        return list(reversed(items)) if self.reverse_waves else items
-
-    # -- waves ---------------------------------------------------------
-    def _route_wave(self, graph: StageGraph, substrate: "_Substrate") -> None:
-        from repro.networks import peek_route_cache
-
-        cold: list[tuple[tuple, tuple]] = []
-        for rkey, node in self._ordered(list(graph.route_nodes.items())):
-            if peek_route_cache(node[0], node[1], node[2]) is not None:
-                graph.counters["cache_hit"] += 1
-            else:
-                cold.append((rkey, node))
-        graph.counters["executed"] += len(cold)
-        substrate.run_routes(cold)
-
-    def _sim_wave_and_assemble(
-        self, graph: StageGraph, substrate: "_Substrate", rows: dict[int, tuple]
-    ) -> None:
-        from repro.sim.engine import peek_sim_cache
-
-        runtime = graph.runtime
-        cold: list[tuple[tuple, tuple]] = []
-        for sk, node in self._ordered(list(graph.sim_nodes.items())):
-            if peek_sim_cache(*node) is not None:
-                graph.counters["cache_hit"] += 1
-                for i in graph.cells_by_sim[sk]:
-                    rows[i] = self._eval(runtime, i)
-            else:
-                cold.append((sk, node))
-        graph.counters["executed"] += len(cold)
-        # Chunked execution interleaved with assembly: each chunk's
-        # profiles are consumed before later chunks can evict them.
-        for lo in range(0, len(cold), SIM_CHUNK):
-            chunk = cold[lo : lo + SIM_CHUNK]
-            substrate.run_sims(chunk)
-            for sk, _node in chunk:
-                for i in graph.cells_by_sim[sk]:
-                    rows[i] = self._eval(runtime, i)
-
-    # -- substrate selection -------------------------------------------
-    def _substrate(
-        self, runtime: Any, indices: list[int], max_workers: int | None, meta: dict
-    ) -> "_Substrate":
-        from repro.exec.local import default_workers
-
-        name = getattr(self.inner, "name", "serial")
-        workers = default_workers(len(indices), max_workers)
-        if name == "thread":
-            return _ThreadSubstrate(workers)
-        if name == "process":
-            if "fork" in multiprocessing.get_all_start_methods():
-                return _ForkSubstrate(workers)
-            warnings.warn(
-                "fork start method unavailable; running DAG waves on threads",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-            meta["executor_downgrade"] = "fork start method unavailable"
-            return _ThreadSubstrate(workers)
-        if name == "shm":
-            sub = _ShmSubstrate.viable(self.inner, runtime, indices, max_workers)
-            if isinstance(sub, str):
-                meta["executor_downgrade"] = sub
-                return _SerialSubstrate("serial")
-            meta["shm_workers"] = sub.workers
-            return sub
-        return _SerialSubstrate(name if name == "serial" else f"serial ({name})")
-
-
-# ----------------------------------------------------------------------
-# Wave substrates
-# ----------------------------------------------------------------------
-class _Substrate:
-    """How one DAG run executes its waves of cold stage nodes."""
-
-    effective = "serial"
-
-    def run_routes(self, cold: list[tuple[tuple, tuple]]) -> None:
-        raise NotImplementedError
-
-    def run_sims(self, cold: list[tuple[tuple, tuple]]) -> None:
-        raise NotImplementedError
+    def sims(self, cold: list[tuple[tuple, tuple]]) -> None:
+        for _key, node in cold:
+            _sim_stage(*node)
 
     def close(self) -> None:
         pass
 
-    @staticmethod
-    def _seed_routes(cold: list, profiles: list) -> None:
-        from repro.networks import seed_route_cache
-
-        for (_rkey, (trace, topo, policy)), profile in zip(cold, profiles):
-            seed_route_cache(trace, topo, policy, profile)
-
-    @staticmethod
-    def _seed_sims(cold: list, profiles: list) -> None:
-        from repro.sim.engine import seed_sim_cache
-
-        for (_sk, node), profile in zip(cold, profiles):
-            seed_sim_cache(*node, profile)
-
-
-class _SerialSubstrate(_Substrate):
-    """Execute waves in-line; artifacts land in the LRUs directly."""
-
-    def __init__(self, effective: str = "serial") -> None:
-        self.effective = effective
-
-    def run_routes(self, cold: list) -> None:
-        for _rkey, (trace, topo, policy) in cold:
-            _route_stage(trace, topo, policy)
-
-    def run_sims(self, cold: list) -> None:
-        _sim_batch_stage([node for _sk, node in cold], FUSE_MAX_SUPERSTEPS)
-
-
-class _ThreadSubstrate(_Substrate):
-    """Map cold nodes over a thread pool sharing the in-process LRUs.
-
-    Fused sim batches stay on the calling thread (the fused kernel is
-    already one whole-wave pass); the long-superstep leftovers fan out.
-    """
-
-    effective = "thread"
-
-    def __init__(self, workers: int) -> None:
-        self.workers = workers
-
-    def run_routes(self, cold: list) -> None:
-        if not cold:
-            return
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            list(pool.map(lambda c: _route_stage(*c[1]), cold))
-
-    def run_sims(self, cold: list) -> None:
-        if not cold:
-            return
-        fused = [c for c in cold if c[1][0].num_supersteps <= FUSE_MAX_SUPERSTEPS]
-        rest = [c for c in cold if c[1][0].num_supersteps > FUSE_MAX_SUPERSTEPS]
-        if rest:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                list(pool.map(lambda c: _sim_stage(*c[1]), rest))
-        if fused:
-            _sim_batch_stage([node for _sk, node in fused], FUSE_MAX_SUPERSTEPS)
-
-
-class _ForkSubstrate(_Substrate):
-    """Fork a pool per wave; workers inherit prior waves' LRUs
-    copy-on-write and pickle artifacts back for parent-side seeding."""
-
-    effective = "process"
-
-    def __init__(self, workers: int) -> None:
-        self.workers = workers
-
-    def _map(self, fn: Callable, specs: list, args: list) -> list:
-        global _FORK_SPECS
-        ctx = multiprocessing.get_context("fork")
-        with _dag_fork_lock:
-            _FORK_SPECS = specs
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=min(self.workers, max(1, len(args))),
-                    mp_context=ctx,
-                ) as pool:
-                    return list(pool.map(fn, args))
-            finally:
-                _FORK_SPECS = None
-
-    def run_routes(self, cold: list) -> None:
-        if not cold:
-            return
-        specs = [node for _rkey, node in cold]
-        profiles = self._map(_fork_route_one, specs, list(range(len(specs))))
-        self._seed_routes(cold, profiles)
-
-    def run_sims(self, cold: list) -> None:
-        if not cold:
-            return
-        specs = [node for _sk, node in cold]
-        # One contiguous shard per worker keeps sibling fusion intact.
-        bounds, step = [], max(1, -(-len(specs) // self.workers))
-        for lo in range(0, len(specs), step):
-            bounds.append((lo, min(lo + step, len(specs))))
-        shards = self._map(_fork_sim_chunk, specs, bounds)
-        profiles = [p for shard in shards for p in shard]
-        self._seed_sims(cold, profiles)
-
-
-class _ShmSubstrate(_Substrate):
-    """Dispatch wave shards through the persistent shared-memory pool.
-
-    Trace columns ship once, zero-copy, exactly as in the cell-level
-    shm backend; the route wave's profiles are packed into a second
-    shared block so sim-wave workers seed their route LRUs from
-    zero-copy views instead of re-routing.
-    """
-
-    effective = "shm"
-
-    def __init__(
-        self, pool: Any, payload: dict, shm_block: Any, workers: int
-    ) -> None:
-        self.pool = pool
-        self.payload = payload
-        self.shm_block = shm_block
-        self.workers = workers
-        self._route_results: list[tuple[tuple, Any]] = []
-        self._profile_block: dict | None = None
-        self._profile_shm: Any = None
-
-    @classmethod
-    def viable(
-        cls, inner: Any, runtime: Any, indices: list[int], max_workers: int | None
-    ) -> "_ShmSubstrate | str":
-        """A ready substrate, or the downgrade reason."""
-        from repro.exec import shm as shm_mod
-
-        reason = inner._downgrade_reason(runtime, indices)
-        if reason is not None:
-            return reason
-        try:
-            payload, block = shm_mod._pack_sources(runtime)
-        except Exception as err:
-            return f"unshippable sources ({err})"
-        try:
-            pickle.dumps(payload)
-        except Exception as err:
-            block.close()
-            block.unlink()
-            return f"unpicklable plan ({err})"
-        workers = inner.workers or min(
-            8 if max_workers is None else max(1, max_workers),
-            max(1, len(indices)),
-            os.cpu_count() or 1,
-        )
-        if inner.force:
-            workers = inner.workers or max(2, workers)
-        return cls(shm_mod._ensure_pool(workers), payload, block, workers)
-
-    def _shards(self, specs: list) -> list[list]:
-        from repro.exec.shm import _shards
-
-        return _shards(specs, min(self.workers, max(1, len(specs))))
-
-    def run_routes(self, cold: list) -> None:
-        if not cold:
-            return
-        specs = []
-        for rkey, (trace, topo, policy) in cold:
-            skey, topo_name, p = rkey[0], rkey[1], rkey[2]
-            specs.append((skey, topo_name, p, policy))
-        futures = [
-            self.pool.submit(_shm_route_shard, self.payload, shard)
-            for shard in self._shards(specs)
-        ]
-        profiles = [p for f in futures for p in f.result()]
-        self._seed_routes(cold, profiles)
-        self._route_results.extend(zip(specs, profiles))
-
-    def _ensure_profile_block(self) -> None:
-        from repro.exec.shm import _pack_profiles
-
-        if self._profile_block is None and self._route_results:
-            self._profile_block, self._profile_shm = _pack_profiles(
-                self._route_results
-            )
-
-    def run_sims(self, cold: list) -> None:
-        if not cold:
-            return
-        self._ensure_profile_block()
-        specs = []
-        for sk, (trace, topo, policy, arb, aseed, flits) in cold:
-            skey, topo_name, p = sk[0], sk[1], sk[2]
-            specs.append((skey, topo_name, p, policy, arb, aseed, flits))
-        futures = [
-            self.pool.submit(_shm_sim_shard, self.payload, self._profile_block, shard)
-            for shard in self._shards(specs)
-        ]
-        profiles = [p for f in futures for p in f.result()]
-        self._seed_sims(cold, profiles)
-
-    def close(self) -> None:
-        for block in (self.shm_block, self._profile_shm):
-            if block is not None:
-                block.close()
-                block.unlink()
-
 
 # ----------------------------------------------------------------------
-# Sanitize cross-check: fresh per-cell recompute
+# The scheduler
 # ----------------------------------------------------------------------
+def _chunks(items: list, size: int) -> Iterator[list]:
+    for lo in range(0, len(items), size):
+        yield items[lo : lo + size]
+
+
+def run_stage_waves(
+    backend: Any,
+    runtime: Any,
+    *,
+    max_workers: int | None = None,
+    indices: Sequence[int] | None = None,
+) -> tuple[list[tuple], dict]:
+    """Run ``indices`` (default: every cell) as stage waves on the
+    substrate ``backend.substrate(...)`` opens; ``(rows, meta)``."""
+    from repro.networks import peek_route_cache
+    from repro.networks.routing import _CACHE_MAX as ROUTE_LRU_SIZE
+    from repro.sim.engine import _CACHE_MAX as SIM_LRU_SIZE
+    from repro.sim.engine import peek_sim_cache
+
+    indices = list(range(len(runtime.cells)) if indices is None else indices)
+    sources_before = len(runtime._tms)
+    runtime.prepare(indices)
+    graph = StageGraph(runtime, indices)
+    counters = graph.counters
+    counters["executed"] += len(runtime._tms) - sources_before
+
+    def cold(items: list, peek: Callable) -> list:
+        out = [item for item in items if peek(*item[1]) is None]
+        counters["cache_hit"] += len(items) - len(out)
+        counters["executed"] += len(out)
+        return out
+
+    rows = {i: _eval(runtime, i) for i in graph.plain_cells}
+    substrate = backend.substrate(runtime, indices, max_workers)
+    try:
+        for chunk in _chunks(list(graph.route_nodes.items()), ROUTE_LRU_SIZE):
+            substrate.routes(cold(chunk, peek_route_cache))
+            sims = [
+                (sk, graph.sim_nodes[sk])
+                for rkey, _node in chunk
+                for sk in graph.sims_by_route[rkey]
+            ]
+            for sim_chunk in _chunks(sims, SIM_LRU_SIZE):
+                substrate.sims(cold(sim_chunk, peek_sim_cache))
+                for sk, _node in sim_chunk:
+                    for i in graph.cells_by_sim[sk]:
+                        rows[i] = _eval(runtime, i)
+            for rkey, _node in chunk:
+                for i in graph.cells_by_route[rkey]:
+                    rows[i] = _eval(runtime, i)
+    finally:
+        substrate.close()
+    _accumulate(counters)
+    meta = dict(substrate.meta)
+    meta.update(
+        executor_effective=substrate.effective,
+        dag_stages_planned=counters["planned"],
+        dag_stages_unique=counters["unique"],
+        dag_stages_executed=counters["executed"],
+        dag_stages_cache_hit=counters["cache_hit"],
+    )
+    return [rows[i] for i in indices], meta
+
+
+def _eval(runtime: Any, i: int) -> tuple:
+    """Assemble one cell row off the warm LRUs (sampled cross-check
+    against a fresh, cache-bypassing per-cell recompute under
+    ``REPRO_SANITIZE=1``)."""
+    row: tuple = runtime.eval_cell(i)
+    if sanitize.enabled() and sanitize.should_spotcheck():
+        sanitize.check_row_parity(row, _fresh_eval(runtime, i), f"dag cell {i}")
+    return row
+
+
 def _fresh_eval(runtime: Any, i: int) -> tuple:
     """Re-evaluate cell ``i`` from a fresh clone of its source trace.
 
     The clone gets a new cache token, so folding, routing and (for sim
     cells) the cycle loop all recompute from scratch instead of hitting
-    the artifacts the DAG waves produced — a genuinely independent
-    per-cell reference row for :func:`sanitize.check_row_parity`.
+    the artifacts the waves produced — a genuinely independent per-cell
+    reference row for :func:`sanitize.check_row_parity`.
     """
     from repro.api.plan import _PlanRuntime
     from repro.core.metrics import TraceMetrics
@@ -868,7 +369,5 @@ def _fresh_eval(runtime: Any, i: int) -> tuple:
     fresh._tms[skey] = TraceMetrics(clone)
     fresh._denoms = dict(runtime._denoms)
     fresh._checks = dict(runtime._checks)
-    return fresh.eval_cell(i)
-
-
-register_executor("dag", DagBackend)
+    row: tuple = fresh.eval_cell(i)
+    return row

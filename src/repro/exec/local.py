@@ -1,37 +1,24 @@
-"""The three classic executors, re-homed as registry backends.
+"""The in-process substrates: ``serial`` and ``thread``.
 
-These are the ``serial``/``thread``/``process`` strings
-:meth:`ExperimentPlan.run` has always accepted, bit-identical to their
-pre-registry implementations:
-
-* :class:`SerialBackend` — evaluate cells in order on the calling
-  thread (the reference executor every other backend is tested
-  against);
-* :class:`ThreadBackend` — a ``ThreadPoolExecutor``; workers share the
-  in-process fold/route/sim LRUs, so the pool parallelises the numpy
-  kernels' release of the GIL;
-* :class:`ProcessBackend` — a fork-based ``ProcessPoolExecutor``;
-  prepared traces and warm caches are inherited copy-on-write, results
-  come back as plain row tuples.  Where ``fork`` is unavailable
-  (Windows, some macOS configurations) it degrades to threads — loudly:
-  a :class:`RuntimeWarning` is emitted and the frame's metadata records
-  ``executor_effective: "thread"`` with the downgrade reason, so a
-  sweep can never silently lose its parallelism story.
+* :class:`SerialBackend` — run every wave in-line on the calling thread
+  (the reference every other backend is tested against);
+* :class:`ThreadBackend` — map each wave's cold nodes over a
+  ``ThreadPoolExecutor``; workers share the in-process fold/route/sim
+  LRUs, so the pool parallelises the numpy kernels' release of the GIL
+  and nothing needs shipping back.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import threading
-import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 from repro.exec.base import ExecutorBackend
+from repro.exec.dag import Substrate, _route_stage, _sim_stage
 from repro.exec.registry import register_executor
 
-__all__ = ["SerialBackend", "ThreadBackend", "ProcessBackend", "default_workers"]
+__all__ = ["SerialBackend", "ThreadBackend", "default_workers"]
 
 
 def default_workers(num_cells: int, max_workers: int | None) -> int:
@@ -42,87 +29,43 @@ def default_workers(num_cells: int, max_workers: int | None) -> int:
 
 
 class SerialBackend(ExecutorBackend):
-    """Evaluate every cell in order on the calling thread."""
+    """Run every wave in-line on the calling thread."""
 
     name = "serial"
 
-    def execute(
-        self, runtime: Any, indices: list[int], *, max_workers: int | None = None
-    ) -> list[tuple]:
-        return [runtime.eval_cell(i) for i in indices]
+    def substrate(
+        self, runtime: Any, indices: list[int], max_workers: int | None
+    ) -> Substrate:
+        return Substrate()
+
+
+class _ThreadSubstrate(Substrate):
+    """One thread pool per run, sharing the in-process LRUs."""
+
+    def __init__(self, workers: int) -> None:
+        super().__init__("thread")
+        self.pool = ThreadPoolExecutor(max_workers=workers)
+
+    def routes(self, cold: list[tuple[tuple, tuple]]) -> None:
+        list(self.pool.map(lambda item: _route_stage(*item[1]), cold))
+
+    def sims(self, cold: list[tuple[tuple, tuple]]) -> None:
+        list(self.pool.map(lambda item: _sim_stage(*item[1]), cold))
+
+    def close(self) -> None:
+        self.pool.shutdown(wait=True)
 
 
 class ThreadBackend(ExecutorBackend):
-    """A thread pool sharing the in-process fold/route/sim LRUs."""
+    """Map each wave over a thread pool sharing the in-process LRUs."""
 
     name = "thread"
 
-    def execute(
-        self, runtime: Any, indices: list[int], *, max_workers: int | None = None
-    ) -> list[tuple]:
-        workers = default_workers(len(indices), max_workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(runtime.eval_cell, indices))
-
-
-#: Runtime the forked process-pool workers inherit (set around the pool).
-#: Module-global by necessity (fork shares it copy-on-write); the lock
-#: serialises concurrent process-executor runs so lazily-forked workers
-#: of one plan can never inherit another plan's runtime.
-_FORK_RUNTIME: Any = None
-_fork_lock = threading.Lock()
-
-
-def _fork_eval(i: int) -> tuple:
-    return _FORK_RUNTIME.eval_cell(i)
-
-
-class ProcessBackend(ExecutorBackend):
-    """Fork-based worker pool (copy-on-write shares the prepared state)."""
-
-    name = "process"
-
-    def run(
-        self,
-        runtime: Any,
-        *,
-        max_workers: int | None = None,
-        indices: Any = None,
-    ) -> tuple[list[tuple], dict]:
-        if indices is None:
-            indices = range(len(runtime.cells))
-        indices = list(indices)
-        if "fork" not in multiprocessing.get_all_start_methods():
-            warnings.warn(
-                "fork start method unavailable; falling back to threads",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            rows, meta = ThreadBackend().run(
-                runtime, max_workers=max_workers, indices=indices
-            )
-            meta["executor_downgrade"] = "fork start method unavailable"
-            return rows, meta
-        return super().run(runtime, max_workers=max_workers, indices=indices)
-
-    def execute(
-        self, runtime: Any, indices: list[int], *, max_workers: int | None = None
-    ) -> list[tuple]:
-        global _FORK_RUNTIME
-        workers = default_workers(len(indices), max_workers)
-        ctx = multiprocessing.get_context("fork")
-        chunk = max(1, len(indices) // (workers * 2))
-        with _fork_lock:
-            _FORK_RUNTIME = runtime
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=workers, mp_context=ctx
-                ) as pool:
-                    return list(pool.map(_fork_eval, indices, chunksize=chunk))
-            finally:
-                _FORK_RUNTIME = None
+    def substrate(
+        self, runtime: Any, indices: list[int], max_workers: int | None
+    ) -> Substrate:
+        return _ThreadSubstrate(default_workers(len(indices), max_workers))
 
 
 register_executor("serial", SerialBackend)
 register_executor("thread", ThreadBackend)
-register_executor("process", ProcessBackend)

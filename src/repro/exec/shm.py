@@ -1,14 +1,10 @@
-"""Zero-copy shared-memory plan execution.
+"""Zero-copy shared-memory stage waves on a persistent worker pool.
 
-The weakness of the fork-based :class:`~repro.exec.local.ProcessBackend`
-is lifecycle cost: every ``plan.run`` pays to build a fresh pool, each
-worker starts with cold fold/route/sim LRUs, and results trickle back
-through many small pickles.  On a one- or two-core container that
-overhead eats the parallelism (``e18_plan_workerpool_vs_serial`` was
-recorded at 0.91x).
-
-:class:`SharedMemoryBackend` restructures the data flow instead of the
-sharding arithmetic:
+A fork-per-run pool pays its lifecycle on every ``plan.run``: a fresh
+pool, cold fold/route/sim LRUs in each worker, and results trickling
+back through many small pickles.  On a one- or two-core container that
+overhead eats the parallelism.  :class:`SharedMemoryBackend`
+restructures the data flow instead:
 
 * **one persistent worker pool per process** — created on first use,
   reused by every subsequent run (workers keep their warm numpy import
@@ -16,18 +12,18 @@ sharding arithmetic:
 * **sources ship once, zero-copy** — every prepared source's columnar
   ``TraceColumns`` (labels / offsets / src / dst, all ``int64``) is
   packed into a single ``multiprocessing.shared_memory`` block; workers
-  map it and rebuild read-only numpy *views* (no per-cell pickling, no
+  map it and rebuild read-only numpy *views* (no per-node pickling, no
   copies — ``Trace.from_columns`` over a contiguous view is free);
-* **cells shard contiguously** — each worker receives one slice of cell
-  indices plus a small manifest (cells, denominators, correctness
-  verdicts) and returns compact row tuples.
+* **waves shard contiguously** — each worker receives one slice of a
+  wave's cold stage nodes as small specs and returns the artifacts,
+  which the parent seeds into its own LRUs; sim waves also receive the
+  routed profiles they price against as one zero-copy block.
 
 Degradation is graceful and *recorded*: on a single-CPU host, for tiny
-plans, or when the plan is not shippable (in-memory
-:class:`~repro.networks.policy.RoutingPolicy` instances, unpicklable
-machine builders), the backend evaluates serially in-process and the
-frame metadata says so (``executor_effective: "serial"`` plus the
-reason) — results are bit-identical either way.
+plans, or when the plan is not shippable (foreign trace-like sources,
+unpicklable machine builders), the waves run in-line and the frame
+metadata says so (``executor_effective: "serial"`` plus the reason) —
+results are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -36,14 +32,15 @@ import atexit
 import multiprocessing
 import os
 import pickle
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing.shared_memory import SharedMemory
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from repro.exec.base import ExecutorBackend
+from repro.exec.dag import Substrate, _route_stage, _sim_stage
+from repro.exec.local import default_workers
 from repro.exec.registry import register_executor
 
 __all__ = ["SharedMemoryBackend", "shutdown_pool"]
@@ -150,10 +147,35 @@ def _attach_runtime(payload: dict) -> Any:
     return runtime
 
 
-def _eval_shard(payload: dict, indices: list[int]) -> list[tuple]:
-    """Worker entry point: evaluate one contiguous shard of cells."""
+def _route_shard(payload: dict, specs: list[tuple]) -> list:
+    """Worker entry: route nodes against zero-copy shared trace columns."""
     runtime = _attach_runtime(payload)
-    return [runtime.eval_cell(i) for i in indices]
+    return [
+        _route_stage(runtime._tms[skey].trace, runtime.topology(topo_name, p), policy)
+        for skey, topo_name, p, policy in specs
+    ]
+
+
+def _sim_shard(payload: dict, profile_block: dict, specs: list[tuple]) -> list:
+    """Worker entry: sim nodes, seeding routes from the shared profile block.
+
+    ``profile_block`` carries the routed profiles these sims price
+    against as zero-copy shared arrays; seeding them into this worker's
+    route LRU means the sim stages' profile assembly never re-routes.
+    """
+    from repro.networks import seed_route_cache
+
+    runtime = _attach_runtime(payload)
+    for (skey, topo_name, p, policy), profile in _attach_profiles(profile_block):
+        trace = runtime._tms[skey].trace
+        seed_route_cache(trace, runtime.topology(topo_name, p), policy, profile)
+    return [
+        _sim_stage(
+            runtime._tms[skey].trace, runtime.topology(topo_name, p), policy,
+            arb, aseed, flits,
+        )
+        for skey, topo_name, p, policy, arb, aseed, flits in specs
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -208,8 +230,7 @@ def _pack_profiles(results: list[tuple]) -> tuple[dict, SharedMemory]:
     float64) are laid out back to back, 8-byte aligned, in one
     ``SharedMemory`` block; the returned payload carries the byte spans
     so :func:`_attach_profiles` can rebuild read-only views without
-    copying.  The DAG scheduler ships the route wave's results to
-    sim-wave workers this way.
+    copying.
     """
     entries = []
     blocks: list[np.ndarray] = []
@@ -265,21 +286,76 @@ def _attach_profiles(payload: dict) -> "Iterator[tuple[tuple, Any]]":
         )
 
 
-def _shards(indices: list[int], workers: int) -> list[list[int]]:
-    """Split ``indices`` into ``workers`` near-equal contiguous slices."""
-    n = len(indices)
+def _shards(items: list, workers: int) -> list[list]:
+    """Split ``items`` into ``workers`` near-equal contiguous slices."""
+    n = len(items)
     base, extra = divmod(n, workers)
     out, pos = [], 0
     for w in range(workers):
         size = base + (1 if w < extra else 0)
         if size:
-            out.append(indices[pos : pos + size])
+            out.append(items[pos : pos + size])
         pos += size
     return out
 
 
+class _ShmSubstrate(Substrate):
+    """Dispatch wave shards through the persistent shared-memory pool."""
+
+    def __init__(self, payload: dict, block: SharedMemory, workers: int) -> None:
+        super().__init__("shm", shm_workers=workers)
+        self.pool = _ensure_pool(workers)
+        self.payload = payload
+        self.block = block
+        self.workers = workers
+
+    def _map(self, fn: Callable, specs: list, *args: Any) -> list:
+        futures = [
+            self.pool.submit(fn, self.payload, *args, shard)
+            for shard in _shards(specs, min(self.workers, len(specs)))
+        ]
+        return [out for future in futures for out in future.result()]
+
+    def routes(self, cold: list[tuple[tuple, tuple]]) -> None:
+        from repro.networks import seed_route_cache
+
+        if not cold:
+            return
+        specs = [(key[0], key[1], key[2], node[2]) for key, node in cold]
+        for (_key, node), profile in zip(cold, self._map(_route_shard, specs)):
+            seed_route_cache(*node, profile)
+
+    def sims(self, cold: list[tuple[tuple, tuple]]) -> None:
+        from repro.networks import peek_route_cache
+        from repro.sim.engine import seed_sim_cache
+
+        if not cold:
+            return
+        routed: dict[tuple, tuple] = {}
+        for key, (trace, topo, policy, *_rest) in cold:
+            if key[:4] not in routed:
+                profile = peek_route_cache(trace, topo, policy)
+                if profile is not None:
+                    routed[key[:4]] = ((key[0], key[1], key[2], policy), profile)
+        profile_block, profile_shm = _pack_profiles(list(routed.values()))
+        specs = [
+            (key[0], key[1], key[2], node[2], *node[3:]) for key, node in cold
+        ]
+        try:
+            profiles = self._map(_sim_shard, specs, profile_block)
+        finally:
+            profile_shm.close()
+            profile_shm.unlink()
+        for (_key, node), profile in zip(cold, profiles):
+            seed_sim_cache(*node, profile)
+
+    def close(self) -> None:
+        self.block.close()
+        self.block.unlink()
+
+
 class SharedMemoryBackend(ExecutorBackend):
-    """Shard cells across a persistent pool over zero-copy shared sources.
+    """Shard stage waves across a persistent pool over zero-copy sources.
 
     Parameters
     ----------
@@ -287,8 +363,8 @@ class SharedMemoryBackend(ExecutorBackend):
         Pool size override (default: the plan's ``max_workers`` or
         min(8, cells, cores)).
     min_cells:
-        Plans smaller than this run serially in-process — pool dispatch
-        cannot amortise on a cell or two.
+        Plans smaller than this run in-line — pool dispatch cannot
+        amortise on a cell or two.
     force:
         Skip the single-CPU/tiny-plan viability gates (tests exercise
         the real pool on one-core containers this way).  Shippability
@@ -304,8 +380,7 @@ class SharedMemoryBackend(ExecutorBackend):
         self.min_cells = min_cells
         self.force = force
 
-    # -- viability -----------------------------------------------------
-    def _downgrade_reason(self, runtime: Any, indices: list[int]) -> str | None:
+    def _downgrade_reason(self, indices: list[int]) -> str | None:
         if not self.force:
             if (os.cpu_count() or 1) <= 1:
                 return "single-CPU host"
@@ -313,74 +388,26 @@ class SharedMemoryBackend(ExecutorBackend):
                 return f"plan smaller than {self.min_cells} cells"
         return None
 
-    def run(
-        self,
-        runtime: Any,
-        *,
-        max_workers: int | None = None,
-        indices: Any = None,
-    ) -> tuple[list[tuple], dict]:
-        if indices is None:
-            indices = range(len(runtime.cells))
-        indices = list(indices)
-        reason = self._downgrade_reason(runtime, indices)
+    def substrate(
+        self, runtime: Any, indices: list[int], max_workers: int | None
+    ) -> Substrate:
+        reason = self._downgrade_reason(indices)
         if reason is not None:
-            return self._serial(runtime, indices, reason)
-        runtime.prepare(indices)
+            return Substrate(executor_downgrade=reason)
         try:
-            payload, shm = _pack_sources(runtime)
+            payload, block = _pack_sources(runtime)
         except Exception as err:  # e.g. a foreign trace-like source
-            return self._serial(runtime, indices, f"unshippable sources ({err})")
+            return Substrate(executor_downgrade=f"unshippable sources ({err})")
         try:
             pickle.dumps(payload)
         except Exception as err:
-            shm.close()
-            shm.unlink()
-            return self._serial(runtime, indices, f"unpicklable plan ({err})")
-        workers = self.workers or min(
-            8 if max_workers is None else max(1, max_workers),
-            max(1, len(indices)),
-            os.cpu_count() or 1,
+            block.close()
+            block.unlink()
+            return Substrate(executor_downgrade=f"unpicklable plan ({err})")
+        workers = self.workers or max(
+            2 if self.force else 1, default_workers(len(indices), max_workers)
         )
-        if self.force:
-            workers = self.workers or max(2, workers)
-        try:
-            pool = _ensure_pool(workers)
-            shards = _shards(indices, workers)
-            futures = [pool.submit(_eval_shard, payload, shard) for shard in shards]
-            rows_by_index: dict[int, tuple] = {}
-            for shard, future in zip(shards, futures):
-                for i, row in zip(shard, future.result()):
-                    rows_by_index[i] = row
-            rows = [rows_by_index[i] for i in indices]
-        except Exception as err:
-            warnings.warn(
-                f"shared-memory pool failed ({err!r}); evaluating serially",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            rows, meta = self._serial(runtime, indices, f"pool failure ({err})")
-            return rows, meta
-        finally:
-            shm.close()
-            shm.unlink()
-        return rows, {"executor_effective": "shm", "shm_workers": workers}
-
-    def _serial(
-        self, runtime: Any, indices: list[int], reason: str
-    ) -> tuple[list[tuple], dict]:
-        runtime.prepare(indices)
-        rows = [runtime.eval_cell(i) for i in indices]
-        return rows, {
-            "executor_effective": "serial",
-            "executor_downgrade": reason,
-        }
-
-    def execute(
-        self, runtime: Any, indices: list[int], *, max_workers: int | None = None
-    ) -> list[tuple]:
-        # Satisfies the ABC; ``run`` owns the whole lifecycle here.
-        return self.run(runtime, max_workers=max_workers, indices=indices)[0]
+        return _ShmSubstrate(payload, block, workers)
 
 
 register_executor("shm", SharedMemoryBackend)

@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.exec.base import ExecutorBackend
+from repro.exec.dag import Substrate
 from repro.exec.registry import by_executor, register_executor
 from repro.util import sanitize
 from repro.util.caches import register_cache
@@ -318,10 +319,10 @@ class CachedBackend(ExecutorBackend):
         )
         return [rows[i] for i in indices], meta
 
-    def execute(
-        self, runtime: Any, indices: list[int], *, max_workers: int | None = None
-    ) -> list[tuple]:
-        return self.run(runtime, max_workers=max_workers, indices=indices)[0]
+    def substrate(
+        self, runtime: Any, indices: list[int], max_workers: int | None
+    ) -> Substrate:
+        return self.inner.substrate(runtime, indices, max_workers)
 
 
 register_executor("cached", CachedBackend)

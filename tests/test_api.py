@@ -1,7 +1,6 @@
 """Tests for the unified experiment API: registry, pipeline, plan, CLI."""
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -279,16 +278,16 @@ class TestExperimentPlan:
         serial = plan.run(executor="serial")
         thread = plan.run(executor="thread", max_workers=4)
         assert serial.rows == thread.rows
-        process = plan.run(executor="process", max_workers=2)
-        assert serial.rows == process.rows
+        shm = plan.run(executor="shm", max_workers=2)
+        assert serial.rows == shm.rows
 
     def test_parallel_executor_cold_caches_identical(self):
         plan = self._grid()
         serial = plan.run(executor="serial")
         clear_fold_cache()
         clear_route_cache()
-        process = plan.run(executor="process", max_workers=2)
-        assert serial.rows == process.rows
+        shm = plan.run(executor="shm", max_workers=2)
+        assert serial.rows == shm.rows
 
     def test_mixed_cells_and_baselines(self):
         plan = ExperimentPlan.grid(
@@ -352,89 +351,79 @@ class TestExperimentPlan:
 
 
 # ----------------------------------------------------------------------
-# Sweep wrappers delegate to plans, bit-identically
+# The classic sweep layouts, as plans + pivot, bit-identically
 # ----------------------------------------------------------------------
-class TestSweepDelegation:
+class TestPlanLayouts:
     @pytest.fixture
     def trace(self):
         return run("fft", n=256, seed=2).trace
 
-    def test_network_sweep_bit_identical_to_plan_and_legacy(self, trace):
-        from repro.analysis import network_sweep
-
+    def test_network_grid_bit_identical_to_direct_routing(self, trace):
         ps = [4, 16]
         topologies = ("ring", "torus2d", "hypercube")
         policies = ("dimension-order", "valiant")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            table = network_sweep(
-                trace, ps=ps, topologies=topologies, policies=policies
-            )
-        # The pre-plan implementation, inlined as the oracle.
-        tm = TraceMetrics(trace)
+        frame = ExperimentPlan.from_trace(
+            trace, ps=ps, topologies=topologies, policies=policies
+        ).run()
         resolved = [by_policy(p, 0) for p in policies]
-        legacy_rows = tuple(
+        assert frame.column("routed_time") == [
+            route_trace(trace, topo_by_name(t, p), pol).total_time
+            for p in ps
+            for t in topologies
+            for pol in resolved
+        ]
+        table = ExperimentPlan.from_trace(
+            trace, ps=ps, topologies=topologies
+        ).run().pivot("p", "topology", "routed_time")
+        assert table.index == tuple(ps)
+        assert table.columns == topologies
+        assert table.rows == tuple(
             tuple(
-                route_trace(tm.trace, topo_by_name(t, p), pol).total_time
+                route_trace(trace, topo_by_name(t, p), resolved[0]).total_time
                 for t in topologies
-                for pol in resolved
             )
             for p in ps
         )
-        assert table.rows == legacy_rows
-        assert table.columns == tuple(
-            f"{t}/{pol.name}" for t in topologies for pol in resolved
-        )
 
-    def test_network_sweep_distinct_same_named_policies(self, trace):
-        """Two ValiantPolicy seeds share the name 'valiant' but must keep
-        their own columns (regression: name-keyed pivot collapsed them)."""
-        from repro.analysis import network_sweep
+    def test_network_grid_distinct_same_named_policies(self, trace):
+        """Two ValiantPolicy seeds share the name 'valiant' but keep
+        their own cells."""
         from repro.networks import ValiantPolicy
 
         pols = [ValiantPolicy(0), ValiantPolicy(7)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            table = network_sweep(
-                trace, ps=[16], topologies=("torus2d",), policies=pols
-            )
-        tm = TraceMetrics(trace)
-        expected = tuple(
-            route_trace(tm.trace, topo_by_name("torus2d", 16), pol).total_time
+        frame = ExperimentPlan.from_trace(
+            trace, ps=[16], topologies=("torus2d",), policies=pols
+        ).run()
+        expected = [
+            route_trace(trace, topo_by_name("torus2d", 16), pol).total_time
             for pol in pols
-        )
-        assert table.rows == (expected,)
+        ]
+        assert frame.column("routed_time") == expected
         assert expected[0] != expected[1]  # seeds actually differ
 
-    def test_network_sweep_relative_mode(self, trace):
-        from repro.analysis import network_sweep
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            table = network_sweep(
-                trace, ps=[16], topologies=("torus2d",), relative_to_dbsp=True
-            )
+    def test_network_grid_relative_mode(self, trace):
+        table = ExperimentPlan.from_trace(
+            trace, ps=[16], topologies=("torus2d",), relative_to_dbsp=True
+        ).run().pivot("p", "topology", "routed_over_dbsp")
         tm = TraceMetrics(trace)
         topo = topo_by_name("torus2d", 16)
-        expected = route_trace(tm.trace, topo).total_time / tm.D_machine(fit(topo))
+        expected = route_trace(trace, topo).total_time / tm.D_machine(fit(topo))
         assert table.rows == ((expected,),)
 
-    def test_h_sweep_bit_identical(self, trace):
-        from repro.analysis import h_sweep
-
+    def test_h_grid_bit_identical(self, trace):
         tm = TraceMetrics(trace)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            table = h_sweep(trace, ps=[4, 16], sigmas=(0.0, 2.0))
+        table = ExperimentPlan.from_trace(
+            trace, ps=[4, 16], sigmas=(0.0, 2.0)
+        ).run().pivot("p", "sigma", "H")
         assert table.rows == tuple(
             tuple(tm.H(p, s) for s in (0.0, 2.0)) for p in (4, 16)
         )
 
-    def test_sweeps_warn_deprecation(self, trace):
-        from repro.analysis import h_sweep
+    def test_removed_sweeps_are_gone(self):
+        import repro.analysis
 
-        with pytest.warns(DeprecationWarning, match="ExperimentPlan"):
-            h_sweep(trace, ps=[4], sigmas=(0.0,))
+        for name in ("h_sweep", "d_sweep", "optimality_sweep", "network_sweep"):
+            assert not hasattr(repro.analysis, name)
 
 
 # ----------------------------------------------------------------------

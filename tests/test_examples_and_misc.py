@@ -68,9 +68,14 @@ class TestPackageSurface:
             assert hasattr(repro, name)
 
     def test_version(self):
+        import re
+
         import repro
 
-        assert repro.__version__ == "1.5.0"
+        assert repro.__version__ == "2.0.0"
+        pyproject = (SRC.parent / "pyproject.toml").read_text()
+        declared = re.search(r'^version = "([^"]+)"', pyproject, re.M)
+        assert declared is not None and declared.group(1) == repro.__version__
 
     def test_quickstart_docstring_example(self):
         """The README/quickstart code path, inline."""

@@ -1,8 +1,8 @@
 """The execution-backend registry, shm backend, and the result store.
 
 Covers the ExecutorBackend contract (every registered backend produces
-bit-identical rows), the recorded degradation paths (process -> thread
-without fork, shm -> serial on one CPU), the persistent cell-hash result
+bit-identical rows), the recorded degradation paths (shm -> serial on
+one CPU or for tiny plans), the persistent cell-hash result
 store (warm runs do zero folds/routes/sims; version bumps invalidate),
 and the aggregated ``repro.cache_stats()`` registry.
 """
@@ -44,7 +44,8 @@ def _grid(name="exec-grid"):
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_all_backends_registered(self):
-        assert set(executors()) >= {"serial", "thread", "process", "shm"}
+        assert set(executors()) >= {"serial", "thread", "shm"}
+        assert not {"process", "dag"} & set(executors())
 
     def test_by_executor_builds_fresh_instances(self):
         a, b = by_executor("serial"), by_executor("serial")
@@ -57,6 +58,14 @@ class TestRegistry:
             ExperimentPlan.grid(["stencil1d"], ns=[64], ps=[4]).run(
                 executor="nope"
             )
+
+    def test_removed_executor_names_fail_fast(self):
+        # "process" and "dag" were removed in 2.0; asking for them must
+        # fail before any work runs and name the substrates that remain.
+        plan = ExperimentPlan.grid(["stencil1d"], ns=[64], ps=[4])
+        for name in ("process", "dag"):
+            with pytest.raises(ValueError, match="serial, shm, thread"):
+                plan.run(executor=name)
 
     def test_env_default_backend(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR", "thread")
@@ -101,9 +110,8 @@ class TestBackendEquivalence:
         plan = _grid()
         serial = plan.run(executor="serial")
         assert serial.metadata["executor_effective"] == "serial"
-        for name in ("thread", "process"):
-            frame = plan.run(executor=name, max_workers=2)
-            assert frame.rows == serial.rows, name
+        thread = plan.run(executor="thread", max_workers=2)
+        assert thread.rows == serial.rows
         # The real pool, even on a single-CPU container.
         shm = plan.run(executor=SharedMemoryBackend(workers=2, force=True))
         assert shm.rows == serial.rows
@@ -130,27 +138,23 @@ class TestBackendEquivalence:
         assert frame.metadata["executor_effective"] == "serial"
         assert "smaller than" in frame.metadata["executor_downgrade"]
 
-    def test_process_without_fork_warns_and_records_thread(self, monkeypatch):
-        import repro.exec.local as local_mod
+    def test_shm_downgrades_unpicklable_plans(self):
+        from repro.models.presets import PRESETS
 
-        monkeypatch.setattr(
-            local_mod.multiprocessing,
-            "get_all_start_methods",
-            lambda: ["spawn"],
+        plan = ExperimentPlan.grid(
+            ["stencil1d"],
+            ns=[64],
+            ps=[4, 8],
+            machines=["custom"],
+            machine_builders={"custom": lambda p: PRESETS["hypercube"](p)},
         )
-        plan = _grid()
-        with pytest.warns(RuntimeWarning, match="fork start method"):
-            frame = plan.run(executor="process", max_workers=2)
-        assert frame.metadata["executor"] == "process"
-        assert frame.metadata["executor_effective"] == "thread"
-        assert (
-            frame.metadata["executor_downgrade"]
-            == "fork start method unavailable"
-        )
-        assert frame.rows == plan.run().rows
+        frame = plan.run(executor=SharedMemoryBackend(workers=2, force=True))
+        assert frame.metadata["executor_effective"] == "serial"
+        assert frame.metadata["executor_downgrade"].startswith("unpicklable plan")
+        assert frame.rows == plan.run(executor="serial").rows
 
     def test_frame_meta_survives_json(self, tmp_path):
-        frame = _grid().run()
+        frame = _grid().run(executor="serial")
         data = json.loads(frame.to_json(tmp_path / "f.json"))
         assert dict(data["meta"])["executor_effective"] == "serial"
 

@@ -368,29 +368,37 @@ class TestSimulation:
         assert cmp.policy == "valiant"
 
 
-class TestNetworkSweep:
+class TestNetworkGrid:
     def test_grid_shape_and_values(self, rng):
-        from repro.analysis import network_sweep
+        from repro.api import ExperimentPlan
 
         t = random_trace(64, 6, rng, max_messages=32)
-        table = network_sweep(
+        frame = ExperimentPlan.from_trace(
             t,
             ps=[8, 16],
             topologies=("ring", "torus2d"),
             policies=("dimension-order", "valiant"),
-        )
-        assert table.index == (8, 16)
-        assert table.columns == (
-            "ring/dimension-order",
-            "ring/valiant",
-            "torus2d/dimension-order",
-            "torus2d/valiant",
-        )
-        assert all(np.isfinite(x) and x > 0 for row in table.rows for x in row)
+        ).run()
+        assert frame.column("p") == [8] * 4 + [16] * 4
+        pairs = list(zip(frame.column("topology"), frame.column("policy")))
+        assert pairs[:4] == [
+            ("ring", "dimension-order"),
+            ("ring", "valiant"),
+            ("torus2d", "dimension-order"),
+            ("torus2d", "valiant"),
+        ]
+        assert all(np.isfinite(x) and x > 0 for x in frame.column("routed_time"))
 
     def test_relative_mode_is_e11_band(self, rng):
-        from repro.analysis import network_sweep
+        from repro.api import ExperimentPlan
 
         t = random_trace(64, 10, rng, max_messages=64)
-        table = network_sweep(t, ps=[16], relative_to_dbsp=True)
+        frame = ExperimentPlan.from_trace(
+            t,
+            ps=[16],
+            topologies=("ring", "mesh2d", "torus2d", "hypercube", "fat-tree",
+                        "butterfly"),
+            relative_to_dbsp=True,
+        ).run()
+        table = frame.pivot("p", "topology", "routed_over_dbsp")
         assert all(0.05 <= x <= 20.0 for x in table.rows[0])

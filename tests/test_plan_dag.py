@@ -1,14 +1,14 @@
 """The stage-graph plan scheduler (``repro.exec.dag``).
 
-The contract under test: ``scheduler="dag"`` produces frames
-bit-identical to the reference per-cell path on every execution
-substrate (serial, thread, process, shm) with and without the result
-store, while executing each unique emit/fold/route/sim stage once —
-the dedup counters recorded in frame metadata and aggregated under
-``repro.cache_stats()["dag"]`` pin that down.  Wave order must not
-matter (``reverse_waves=True`` is bit-identical by construction), and
-the per-cell path must warn once when a multi-worker executor is about
-to re-derive a majority-shared grid without the DAG scheduler.
+The contract under test: every ``plan.run`` schedules its cells as
+deduplicated stage waves, and the frame is bit-identical to the
+per-cell oracle ``[runtime.eval_cell(i) for i in ...]`` on every
+substrate (serial, thread, shm) with and without the result store,
+while each unique emit/fold/route/sim stage executes once — the dedup
+counters recorded in frame metadata and aggregated under
+``repro.cache_stats()["dag"]`` pin that down, also for plans larger
+than the route LRU.  Cell order must not matter, and repeated thread
+runs must agree row for row.
 """
 
 from __future__ import annotations
@@ -19,18 +19,17 @@ import pytest
 
 from repro import cache_stats, clear_caches
 from repro.api import ExperimentPlan, run
+from repro.api.plan import PlanCell, _PlanRuntime
 from repro.exec import (
-    DagBackend,
     ResultStore,
     SharedMemoryBackend,
-    by_executor,
+    StageGraph,
     clear_dag_stats,
     dag_stats,
-    executors,
-    shared_stage_ratio,
     shutdown_pool,
 )
-from repro.exec.dag import _reset_shared_stage_warning, dag_env_enabled
+
+TOPOLOGIES = ("ring", "mesh2d", "torus2d", "hypercube", "fat-tree", "butterfly")
 
 
 def _shared_grid(name="dag-grid"):
@@ -47,69 +46,144 @@ def _shared_grid(name="dag-grid"):
     )
 
 
+def _mixed_plan():
+    """Every kind of cell in one plan: structural, H, D-preset,
+    ``@source``, ``relative_to_dbsp``, analytic and sim cells (with a
+    dynamic arbiter and two flits per message)."""
+    cells = [
+        PlanCell("fft", n=64),
+        PlanCell("fft", n=64, p=8, sigma=2.0),
+        PlanCell("fft", n=64, p=8, machine="hypercube"),
+        PlanCell("@src", p=4, sigma=0.0),
+    ]
+    cells += ExperimentPlan.grid(
+        algorithms=["fft", "stencil1d"],
+        ns=[64],
+        ps=[4, 8],
+        topologies=["ring", "mesh2d"],
+        policies=["dimension-order", "valiant"],
+        relative_to_dbsp=True,
+    ).cells
+    cells += ExperimentPlan.grid(
+        algorithms=["fft"],
+        ns=[64],
+        ps=[8],
+        topologies=["ring", "hypercube"],
+        modes=["sim"],
+    ).cells
+    cells += ExperimentPlan.grid(
+        algorithms=["fft"],
+        ns=[64],
+        ps=[8],
+        topologies=["ring", "hypercube"],
+        modes=["sim"],
+        arbiter="random",
+        arbiter_seed=3,
+        flits_per_message=2,
+    ).cells
+    cells += ExperimentPlan.grid(
+        algorithms=["@src"],
+        ps=[4, 8],
+        topologies=["hypercube"],
+        modes=["analytic", "sim"],
+    ).cells
+    return ExperimentPlan(
+        cells, name="mixed", sources={"src": run("prefix", n=64).trace}
+    )
+
+
+def _oracle(plan, *, check=False):
+    runtime = _PlanRuntime(plan, check=check)
+    runtime.prepare()
+    return tuple(runtime.eval_cell(i) for i in range(len(plan)))
+
+
 @pytest.fixture(autouse=True)
-def _rearm_warning(monkeypatch):
-    # Pin the scheduler and executor defaults: these tests exercise
-    # both paths explicitly, so the session-level REPRO_PLAN_DAG /
+def _default_executor(monkeypatch):
+    # These tests pick their substrate explicitly, so the session-level
     # REPRO_EXECUTOR of a CI matrix leg must not leak in.
-    monkeypatch.delenv("REPRO_PLAN_DAG", raising=False)
     monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-    _reset_shared_stage_warning()
-    yield
-    _reset_shared_stage_warning()
 
 
 # ----------------------------------------------------------------------
 # Bit-identity: the core scheduler property
 # ----------------------------------------------------------------------
-class TestDagEquivalence:
-    def test_dag_registered_as_executor(self):
-        assert "dag" in executors()
-        backend = by_executor("dag")
-        assert backend.name == "dag" and backend.inner.name == "serial"
+_SUBSTRATES = {
+    "serial": lambda: "serial",
+    "thread": lambda: "thread",
+    "shm": lambda: SharedMemoryBackend(workers=2, force=True),
+}
 
+
+class TestParity:
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        plan = _mixed_plan()
+        return plan, _oracle(plan, check=True)
+
+    @pytest.mark.parametrize("substrate", sorted(_SUBSTRATES))
+    @pytest.mark.parametrize("store_mode", ["none", "cold", "warm"])
+    def test_frame_equals_per_cell_oracle(
+        self, mixed, substrate, store_mode, tmp_path
+    ):
+        plan, reference = mixed
+        kwargs: dict = {"max_workers": 2, "check": True}
+        if store_mode != "none":
+            store = ResultStore(tmp_path / "results.db")
+            kwargs["store"] = store
+            if store_mode == "warm":
+                plan.run(**kwargs)
+        frame = plan.run(executor=_SUBSTRATES[substrate](), **kwargs)
+        assert frame.rows == reference
+        meta = frame.metadata
+        if store_mode == "warm":
+            # Only the uncacheable @-sourced cells reach the scheduler.
+            at_cells = sum(c.algorithm.startswith("@") for c in plan.cells)
+            assert meta["store_misses"] == at_cells
+        assert meta["executor_effective"] == substrate
+        shutdown_pool()
+
+    def test_cell_order_does_not_matter(self):
+        plan = _shared_grid()
+        flipped = ExperimentPlan(plan.cells[::-1])
+        assert flipped.run().rows == plan.run().rows[::-1]
+
+    def test_multi_worker_runs_do_not_warn(self):
+        plan = _shared_grid()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan.run(executor="thread", max_workers=2)
+
+
+class TestDagEquivalence:
     def test_dag_serial_bit_identical(self):
         plan = _shared_grid()
-        reference = plan.run()
-        frame = plan.run(scheduler="dag")
-        assert frame.rows == reference.rows
-        assert frame.metadata["scheduler"] == "dag"
+        frame = plan.run()
+        assert frame.rows == _oracle(plan)
         assert frame.metadata["executor_effective"] == "serial"
-        assert frame.columns == reference.columns
+        assert frame.columns == plan.run(executor="serial").columns
 
     def test_dag_over_every_substrate_bit_identical(self):
         plan = _shared_grid()
-        reference = plan.run()
-        for inner in ("thread", "process"):
-            frame = plan.run(
-                executor=inner, scheduler="dag", max_workers=2
-            )
-            assert frame.rows == reference.rows, inner
-            assert frame.metadata["scheduler"] == "dag"
-        shm = plan.run(
-            executor=SharedMemoryBackend(workers=2, force=True),
-            scheduler="dag",
-        )
-        assert shm.rows == reference.rows
+        reference = _oracle(plan)
+        thread = plan.run(executor="thread", max_workers=2)
+        assert thread.rows == reference
+        assert thread.metadata["executor_effective"] == "thread"
+        shm = plan.run(executor=SharedMemoryBackend(workers=2, force=True))
+        assert shm.rows == reference
+        assert shm.metadata["executor_effective"] == "shm"
         shutdown_pool()
 
     def test_dag_with_store_cold_and_warm(self, tmp_path):
         store = ResultStore(tmp_path / "results.db")
         plan = _shared_grid()
-        reference = plan.run()
-        cold = plan.run(scheduler="dag", store=store)
-        assert cold.rows == reference.rows
+        reference = _oracle(plan)
+        cold = plan.run(store=store)
+        assert cold.rows == reference
         assert cold.metadata["store_misses"] == len(plan)
-        warm = plan.run(scheduler="dag", store=store)
-        assert warm.rows == reference.rows
+        warm = plan.run(store=store)
+        assert warm.rows == reference
         assert warm.metadata["store_hits"] == len(plan)
-
-    def test_reverse_waves_bit_identical(self):
-        plan = _shared_grid()
-        reference = plan.run()
-        backend = DagBackend("serial", reverse_waves=True)
-        frame = plan.run(executor=backend)
-        assert frame.rows == reference.rows
 
     def test_dynamic_arbiter_and_flits(self):
         plan = ExperimentPlan.grid(
@@ -122,23 +196,25 @@ class TestDagEquivalence:
             arbiter_seed=3,
             flits_per_message=2,
         )
-        assert plan.run(scheduler="dag").rows == plan.run().rows
+        assert plan.run().rows == _oracle(plan)
 
-    def test_long_supersteps_take_unfused_path(self):
-        # stencil1d traces exceed FUSE_MAX_SUPERSTEPS, so sibling sims
-        # must fall back to per-stage execution — still bit-identical.
+
+class TestThreadStress:
+    def test_repeated_thread_runs_agree(self):
         plan = ExperimentPlan.grid(
-            algorithms=["stencil1d"],
-            ns=[256],
+            algorithms=["fft", "prefix"],
+            ns=[64],
             ps=[4, 8],
-            topologies=["ring"],
-            modes=["sim"],
+            topologies=["ring", "torus2d", "hypercube"],
+            policies=["dimension-order", "valiant"],
+            modes=["analytic", "sim"],
         )
-        assert plan.run(scheduler="dag").rows == plan.run().rows
-
-    def test_nested_dag_rejected(self):
-        with pytest.raises(TypeError, match="nest"):
-            DagBackend(DagBackend())
+        reference = _oracle(plan)
+        for attempt in range(20):
+            if attempt % 4 == 0:
+                clear_caches()
+            frame = plan.run(executor="thread", max_workers=4)
+            assert frame.rows == reference, attempt
 
 
 # ----------------------------------------------------------------------
@@ -148,23 +224,20 @@ class TestDedupCounters:
     def test_frame_metadata_records_counters(self):
         clear_caches()
         plan = _shared_grid()
-        frame = plan.run(scheduler="dag")
+        frame = plan.run()
         meta = frame.metadata
         planned = meta["dag_stages_planned"]
         unique = meta["dag_stages_unique"]
         assert planned > unique > 0
         assert meta["dag_stages_executed"] > 0
         assert meta["dag_stages_cache_hit"] >= 0
-        assert meta["shared_stage_ratio"] == round(1 - unique / planned, 4)
+        assert meta["executor_effective"] == "serial"
         # Every cell references emit+fold+route+(sim|metrics) stages.
         assert planned == 4 * len(plan)
 
     def test_shared_source_emitted_once(self):
         # Every cell of the grid shares one emitted trace: the graph
         # plans len(plan) emit references but a single emit node.
-        from repro.api.plan import _PlanRuntime
-        from repro.exec import StageGraph
-
         plan = _shared_grid()
         runtime = _PlanRuntime(plan, check=False)
         indices = list(range(len(plan)))
@@ -177,7 +250,7 @@ class TestDedupCounters:
 
     def test_warm_lrus_are_counted_not_recomputed(self):
         # A stable in-memory trace keeps its LRU identity across runs:
-        # the second DAG run must count cache hits instead of executing.
+        # the second run must count cache hits instead of executing.
         trace = run("fft", n=64).trace
         plan = ExperimentPlan.from_trace(
             trace,
@@ -186,8 +259,8 @@ class TestDedupCounters:
             modes=["analytic", "sim"],
         )
         clear_caches()
-        cold = plan.run(scheduler="dag")
-        warm = plan.run(scheduler="dag")
+        cold = plan.run()
+        warm = plan.run()
         assert warm.rows == cold.rows
         assert warm.metadata["dag_stages_cache_hit"] > 0
         assert (
@@ -198,7 +271,7 @@ class TestDedupCounters:
     def test_cache_stats_gains_dag_provider(self):
         clear_dag_stats()
         assert dag_stats()["stages_planned"] == 0
-        frame = _shared_grid().run(scheduler="dag")
+        frame = _shared_grid().run()
         stats = cache_stats()["dag"]
         assert stats["stages_planned"] == frame.metadata["dag_stages_planned"]
         assert stats["stages_unique"] == frame.metadata["dag_stages_unique"]
@@ -206,71 +279,61 @@ class TestDedupCounters:
         clear_caches()
         assert dag_stats()["stages_planned"] == 0
 
+    def test_plans_larger_than_the_route_lru_route_each_node_once(
+        self, monkeypatch
+    ):
+        # 8 sources x 3 ps x 6 topologies x 2 policies = 288 route nodes,
+        # more than the route LRU holds: waves must assemble their cells
+        # before later waves evict the profiles, so no route runs twice.
+        # REPRO_SANITIZE=1 deliberately re-routes sampled cells on cloned
+        # traces; pin it off so the miss count is the invariant tested.
+        from repro.networks.routing import _CACHE_MAX
 
-# ----------------------------------------------------------------------
-# Scheduler selection
-# ----------------------------------------------------------------------
-class TestSchedulerSelection:
-    def test_default_is_cells(self):
-        frame = ExperimentPlan.grid(["fft"], ns=[64], ps=[4]).run()
-        assert frame.metadata["scheduler"] == "cells"
-        assert "dag_stages_planned" not in frame.metadata
+        monkeypatch.setenv("REPRO_SANITIZE", "0")
+        cells: list = []
+        for seed in range(8):
+            cells += ExperimentPlan.grid(
+                algorithms=["fft"],
+                ns=[64],
+                ps=[4, 16, 64],
+                topologies=TOPOLOGIES,
+                policies=["dimension-order", "valiant"],
+                seed=seed,
+            ).cells
+        plan = ExperimentPlan(cells)
+        assert len(plan) > _CACHE_MAX
+        clear_caches()
+        frame = plan.run()
+        route = cache_stats()["route"]
+        assert route["misses"] == len(plan)
+        meta = frame.metadata
+        assert meta["dag_stages_executed"] == 8 + route["misses"]
+        assert meta["dag_stages_cache_hit"] == 0
 
-    def test_env_selects_dag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLAN_DAG", "1")
-        assert dag_env_enabled()
-        frame = _shared_grid().run()
-        assert frame.metadata["scheduler"] == "dag"
-        assert frame.metadata["dag_stages_planned"] > 0
+    def test_plans_larger_than_the_sim_lru_simulate_each_node_once(
+        self, monkeypatch
+    ):
+        # 6 sources x 2 ps x 6 topologies x 2 policies = 144 sim nodes in
+        # one route chunk, more than the sim LRU holds.
+        from repro.sim.engine import _CACHE_MAX
 
-    def test_explicit_cells_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLAN_DAG", "1")
-        frame = _shared_grid().run(scheduler="cells")
-        assert frame.metadata["scheduler"] == "cells"
-
-    def test_unknown_scheduler_fails_fast(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            _shared_grid().run(scheduler="waves")
-
-    def test_dag_executor_name_implies_dag_scheduler(self):
-        frame = _shared_grid().run(executor="dag")
-        assert frame.metadata["scheduler"] == "dag"
-        assert frame.metadata["dag_stages_planned"] > 0
-
-
-# ----------------------------------------------------------------------
-# The shared-stage warning (per-cell path, multi-worker executor)
-# ----------------------------------------------------------------------
-class TestSharedStageWarning:
-    def test_ratio_prices_overlap_declaratively(self):
-        plan = _shared_grid()
-        ratio = shared_stage_ratio(plan.cells)
-        assert ratio > 0.5
-        lone = ExperimentPlan.grid(["fft"], ns=[64], ps=[4])
-        assert shared_stage_ratio(lone.cells) < 0.5
-
-    def test_multi_worker_cells_run_warns_once(self):
-        plan = _shared_grid()
-        reference = plan.run()
-        with pytest.warns(RuntimeWarning, match="REPRO_PLAN_DAG"):
-            frame = plan.run(executor="thread", max_workers=2)
-        assert frame.rows == reference.rows
-        assert frame.metadata["shared_stage_ratio"] > 0.5
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second run: warned already
-            again = plan.run(executor="thread", max_workers=2)
-        assert again.metadata["shared_stage_ratio"] > 0.5
-
-    def test_serial_and_dag_runs_do_not_warn(self):
-        plan = _shared_grid()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            plan.run()
-            plan.run(scheduler="dag")
-
-    def test_low_overlap_grid_does_not_warn(self):
-        plan = ExperimentPlan.grid(["fft"], ns=[64], ps=[4])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            frame = plan.run(executor="thread", max_workers=2)
-        assert frame.metadata["shared_stage_ratio"] < 0.5
+        monkeypatch.setenv("REPRO_SANITIZE", "0")
+        cells: list = []
+        for seed in range(6):
+            cells += ExperimentPlan.grid(
+                algorithms=["fft"],
+                ns=[16],
+                ps=[4, 16],
+                topologies=TOPOLOGIES,
+                policies=["dimension-order", "valiant"],
+                modes=["sim"],
+                seed=seed,
+            ).cells
+        plan = ExperimentPlan(cells)
+        assert len(plan) > _CACHE_MAX
+        clear_caches()
+        frame = plan.run()
+        stats = cache_stats()
+        assert stats["sim"]["misses"] == len(plan)
+        assert stats["route"]["misses"] == len(plan)
+        assert frame.metadata["dag_stages_executed"] == 6 + 2 * len(plan)

@@ -228,7 +228,7 @@ class TestRowParity:
 
     def test_dag_run_spot_checks_rows(self, sanitizing):
         sanitize.clear_sanitizer()
-        self._plan().run(scheduler="dag")
+        self._plan().run()
         stats = repro.cache_stats()["sanitizer"]
         assert stats["row_checks"] >= len(self._plan())
         assert stats["violations"] == 0

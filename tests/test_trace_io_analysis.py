@@ -1,15 +1,10 @@
-"""Tests for trace persistence and the analysis sweep utilities."""
+"""Tests for trace persistence, the analysis helpers and plan sweeps."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    d_sweep,
-    default_fold_grid,
-    h_sweep,
-    optimality_sweep,
-    wiseness_report,
-)
+from repro.analysis import default_fold_grid, wiseness_report
+from repro.api import ExperimentPlan
 from repro.core.lower_bounds import mm_lower_bound
 from repro.core.metrics import TraceMetrics
 from repro.machine.trace import Trace
@@ -69,32 +64,35 @@ class TestSweeps:
         assert default_fold_grid(256) == [4, 16, 64, 256]
         assert default_fold_grid(8, factor=2, start=2) == [2, 4, 8]
 
-    def test_h_sweep_matches_metrics(self, rng):
+    def test_h_grid_matches_metrics(self, rng):
         t = random_trace(64, 8, rng)
-        table = h_sweep(t, ps=[4, 16], sigmas=(0.0, 2.0))
+        frame = ExperimentPlan.from_trace(t, ps=[4, 16], sigmas=(0.0, 2.0)).run()
+        table = frame.pivot("p", "sigma", "H", name="H(n, p, sigma)")
         tm = TraceMetrics(t)
         assert table.as_dict()[4][0.0] == tm.H(4, 0.0)
         assert table.as_dict()[16][2.0] == tm.H(16, 2.0)
+        assert "H(n, p, sigma)" in str(table)
 
-    def test_h_sweep_str(self, rng):
-        t = random_trace(16, 4, rng)
-        assert "H(n, p, sigma)" in str(h_sweep(t))
-
-    def test_d_sweep_presets(self, rng):
+    def test_d_grid_presets(self, rng):
         t = random_trace(64, 8, rng)
-        table = d_sweep(t, 16)
-        assert "mesh2d" in table.columns
+        frame = ExperimentPlan.from_trace(
+            t, ps=[16], machines=("mesh1d", "mesh2d", "hypercube")
+        ).run()
+        table = frame.pivot("p", "machine", "D")
+        assert table.columns == ("mesh1d", "mesh2d", "hypercube")
         assert all(x >= 0 for x in table.rows[0])
 
-    def test_optimality_sweep_flatness(self, rng):
+    def test_h_over_lower_bound_flatness(self, rng):
         from repro.algorithms import matmul
 
         side = 8
         res = matmul.run(rng.random((side, side)), rng.random((side, side)))
-        table = optimality_sweep(
-            res.trace, mm_lower_bound, side * side, ps=[4, 16, 64]
-        )
-        col = table.column(0.0)
+        ps = [4, 16, 64]
+        table = ExperimentPlan.from_trace(
+            res.trace, ps=ps, sigmas=(0.0, 4.0)
+        ).run().pivot("p", "sigma", "H")
+        col = [h / mm_lower_bound(side * side, p, 0.0)
+               for p, h in zip(ps, table.column(0.0))]
         assert max(col) / min(col) < 8.0
 
     def test_wiseness_report(self, rng):
@@ -108,5 +106,5 @@ class TestSweeps:
 
     def test_column_accessor(self, rng):
         t = random_trace(16, 4, rng)
-        table = h_sweep(t, ps=[4, 16], sigmas=(0.0, 1.0))
-        assert len(table.column(1.0)) == 2
+        frame = ExperimentPlan.from_trace(t, ps=[4, 16], sigmas=(0.0, 1.0)).run()
+        assert len(frame.pivot("p", "sigma", "H").column(1.0)) == 2
