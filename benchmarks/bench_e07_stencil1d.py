@@ -15,10 +15,10 @@ from repro.core.lower_bounds import stencil_lower_bound
 from repro.core.theory import h_stencil1_closed, stencil_k
 
 
-def run_sweep():
+def run_sweep(ns=(32, 64, 128, 256)):
     rng = np.random.default_rng(7)
     rows = []
-    for n in (32, 64, 128, 256):
+    for n in ns:
         res = stencil1d.run(rng.random(n))
         tm = TraceMetrics(res.trace)
         for p in geometric(4, n, 4):
@@ -37,8 +37,9 @@ def run_sweep():
     return rows
 
 
-def test_e07_stencil1d_scaling(benchmark):
-    rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_e07_stencil1d_scaling(benchmark, quick):
+    ns = (32, 64) if quick else (32, 64, 128, 256)
+    rows = benchmark.pedantic(run_sweep, args=(ns,), rounds=1, iterations=1)
     emit_table(
         "e07_stencil1d",
         "E07  Theorem 4.11: H_1-stencil vs n*4^{sqrt(log n)} (p-independent)",

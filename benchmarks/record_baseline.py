@@ -40,6 +40,7 @@ WORKLOADS = [
     ("bench_e01_folding_lemma", "run_sweep", "e01_folding_lemma"),
     ("bench_e03_matmul", "run_sweep", "e03_matmul"),
     ("bench_e05_fft", "run_sweep", "e05_fft"),
+    ("bench_e07_stencil1d", "run_sweep", "e07_stencil1d"),
     ("bench_e16_fold_kernels", "run_sweep", "e16_fold_kernels"),
     ("bench_e17_routing_kernels", "run_sweep", "e17_routing_vectorized"),
     ("bench_e17_routing_kernels", "run_sweep_reference", "e17_routing_reference"),

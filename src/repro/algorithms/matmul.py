@@ -30,6 +30,17 @@ every recursion level: a task over segment ``[seg, seg+m)`` with operand
 size ``q`` keeps entry ``j`` (task-local Morton index) of each operand on
 VP ``seg + j // (q/m)``.
 
+Every task of a recursion level has the same ``m`` and ``q``, and task
+``i`` runs on segment ``[i*m, (i+1)*m)``.  So a level is held as ``(tasks,
+q)`` operand arrays, and each superstep is built once per level: one
+task's endpoint pattern on segment ``[0, m)``, broadcast over every
+task's segment offset.  The messages of a superstep are in task-major
+order (task, then the per-task send order); this order is a contract,
+since traces keep it and the simulator's FIFO arbiters read it.  The
+base case moves all tasks' operands to dense layout with one indexing
+op through the Morton permutation and calls
+``semiring.matmul`` once per task on 2-D blocks.
+
 Sizes: ``n`` must be a power of 4 (square matrices of power-of-two side),
 ``n >= 16``.  The 8-way split runs while the segment is divisible by 8;
 the paper's base case (one VP per ``n^{1/3}``-MM) is reached exactly when
@@ -48,7 +59,7 @@ from repro.algorithms._common import AlgorithmResult, SendBuffer, add_wiseness_d
 from repro.algorithms.semiring import STANDARD, Semiring
 from repro.machine.program import ScheduleBuilder
 from repro.util.intmath import ilog2
-from repro.util.morton import dense_to_morton, morton_to_dense
+from repro.util.morton import dense_to_morton, morton_order, morton_to_dense
 
 __all__ = ["run", "MatMulResult", "specification_size"]
 
@@ -65,143 +76,133 @@ def specification_size(side: int) -> int:
     return side * side
 
 
-@dataclass
-class _Task:
-    seg: int  # first VP of the segment
-    m: int  # number of VPs in the segment
-    a: np.ndarray  # Morton-ordered operand A', length q
-    b: np.ndarray  # Morton-ordered operand B', length q
-
-    @property
-    def q(self) -> int:
-        return self.a.shape[0]
+# Task (h, k, l) of a split computes M_hkl = A_hl * B_lk, so that
+# C_hk = M_hk0 + M_hk1.  Entry i lists the Morton quadrant (2*row + col)
+# of each operand for task i = 4h + 2k + l.
+_A_QUADRANT = np.array([2 * h + l for h in (0, 1) for k in (0, 1) for l in (0, 1)])
+_B_QUADRANT = np.array([2 * l + k for h in (0, 1) for k in (0, 1) for l in (0, 1)])
 
 
-def _replication_messages(task: _Task, buf: SendBuffer) -> list[_Task]:
-    """Step 1: route quadrants to the eight sub-segments; return subtasks."""
-    seg, m, q = task.seg, task.m, task.q
+def _emit_level(machine: ScheduleBuilder, label: int, tasks: int, m: int,
+                pattern: tuple[np.ndarray, np.ndarray], wise: bool, mult: int) -> None:
+    """One superstep for a whole level: a task-local endpoint ``pattern``
+    on segment ``[0, m)``, shifted to every task's segment and flattened
+    task-major (task, then the pattern's own order)."""
+    seg = np.arange(tasks, dtype=np.int64) * m
+    src, dst = (
+        (seg.reshape((-1,) + (1,) * part.ndim) + part).reshape(-1) for part in pattern
+    )
+    buf = SendBuffer()
+    buf.add(src, dst)
+    if wise:
+        add_wiseness_dummies(buf, machine.v, label, mult)
+    buf.flush(machine, label)
+
+
+def _replication_pattern(m: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Step 1 endpoints of one task on segment ``[0, m)``: its four
+    quadrant-routing sends, each over the ``q`` operand entries."""
     epv = q // m  # entries per VP at this level (2^i)
     sub_m = m // 8
     sub_epv = 2 * epv  # (q/4) / (m/8)
     j = np.arange(q, dtype=np.int64)
-    src = seg + j // epv
+    src = j // epv
     quad = j // (q // 4)  # Morton quadrant (two top bits) of each entry
     jp = j % (q // 4)  # index within the quadrant
     hi = quad >> 1
     lo = quad & 1
-    # Segment S_hkl computes M_hkl = A_hl * B_lk (so that C_hk = M_hk0 + M_hk1).
-    # A quadrant (row, col) = (hi, lo) is A_hl with h = hi, l = lo: needed by
-    # segments S_{hi, k, lo} for k = 0, 1.
-    for k in (0, 1):
-        idx = hi * 4 + k * 2 + lo
-        buf.add(src, seg + idx * sub_m + jp // sub_epv)
-    # B quadrant (row, col) = (hi, lo) is B_lk with l = hi, k = lo: needed by
-    # segments S_{h, lo, hi} for h = 0, 1.
-    for h in (0, 1):
-        idx = h * 4 + lo * 2 + hi
-        buf.add(src, seg + idx * sub_m + jp // sub_epv)
-
-    quarter = q // 4
-    subtasks = []
-    for h in (0, 1):
-        for k in (0, 1):
-            for l in (0, 1):
-                idx = h * 4 + k * 2 + l
-                a_sub = task.a[(2 * h + l) * quarter : (2 * h + l + 1) * quarter]
-                b_sub = task.b[(2 * l + k) * quarter : (2 * l + k + 1) * quarter]
-                subtasks.append(_Task(seg + idx * sub_m, sub_m, a_sub, b_sub))
-    return subtasks
+    sub = jp // sub_epv
+    dst = np.stack(
+        # A quadrant (row, col) = (hi, lo) is A_hl with h = hi, l = lo:
+        # needed by segments S_{hi, k, lo} for k = 0, 1.
+        [(hi * 4 + k * 2 + lo) * sub_m + sub for k in (0, 1)]
+        # B quadrant (row, col) = (hi, lo) is B_lk with l = hi, k = lo:
+        # needed by segments S_{h, lo, hi} for h = 0, 1.
+        + [(h * 4 + lo * 2 + hi) * sub_m + sub for h in (0, 1)]
+    )
+    return np.broadcast_to(src, dst.shape), dst
 
 
-def _combine_messages(
-    task: _Task, products: list[np.ndarray], buf: SendBuffer, sr: Semiring
-) -> np.ndarray:
-    """Step 3: collect ``M_hk0``/``M_hk1`` into C's canonical layout."""
-    seg, m, q = task.seg, task.m, task.q
+def _combine_pattern(m: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Step 3 endpoints of one task on segment ``[0, m)``: ``M_hkl``'s
+    entries travel to the owners of C quadrant ``(h, k)``, in (h, k, l)
+    order."""
     epv = q // m
     sub_m = m // 8
     sub_epv = 2 * epv
     quarter = q // 4
     jp = np.arange(quarter, dtype=np.int64)
-    c = np.empty(q, dtype=np.result_type(task.a, task.b))
-    for h in (0, 1):
-        for k in (0, 1):
-            p0 = products[h * 4 + k * 2 + 0]
-            p1 = products[h * 4 + k * 2 + 1]
-            c_quad_start = (2 * h + k) * quarter
-            dst = seg + (c_quad_start + jp) // epv
-            for l in (0, 1):
-                idx = h * 4 + k * 2 + l
-                buf.add(seg + idx * sub_m + jp // sub_epv, dst)
-            c[c_quad_start : c_quad_start + quarter] = sr.add(p0, p1)
-    return c
+    hkl = np.arange(8, dtype=np.int64)[:, None]
+    src = hkl * sub_m + jp // sub_epv
+    dst = ((hkl >> 1) * quarter + jp) // epv  # C quadrant 2h + k == hkl >> 1
+    return src, dst
 
 
-def _base_case(tasks: list[_Task], machine: ScheduleBuilder, label: int, sr: Semiring,
-               wise: bool, epv: int) -> list[np.ndarray]:
-    """Solve remaining tasks on segments of 1, 2 or 4 VPs.
+def _allgather_pattern(m: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Base all-gather endpoints of one task on segment ``[0, m)``: every
+    entry of A' and B' goes once to each other VP of the segment."""
+    src = np.arange(q, dtype=np.int64) // (q // m)
+    srcs, dsts = [], []
+    for other in range(m):
+        keep = src != other
+        # Two operands: send each entry of A' and B' once per peer.
+        srcs += [src[keep], src[keep]]
+        dsts += [np.full(int(keep.sum()), other, dtype=np.int64)] * 2
+    return np.concatenate(srcs), np.concatenate(dsts)
+
+
+def _base_case(a: np.ndarray, b: np.ndarray, m: int, machine: ScheduleBuilder,
+               label: int, sr: Semiring, wise: bool, epv: int) -> np.ndarray:
+    """Solve the remaining tasks (rows of ``a``/``b``) on segments of 1, 2
+    or 4 VPs.
 
     For ``m == 1`` the VP multiplies its ``n^{1/3}``-MM locally (the
     paper's base case).  For ``m in (2, 4)`` (n not a power of 64) the
     segment all-gathers both operands — a constant-degree-ratio superstep
     — and each VP computes its share of C.
     """
-    m = tasks[0].m
+    tasks, q = a.shape
     if m > 1:
-        buf = SendBuffer()
-        for t in tasks:
-            own = t.q // m
-            j = np.arange(t.q, dtype=np.int64)
-            src = t.seg + j // own
-            for other in range(m):
-                dst = np.full(t.q, t.seg + other, dtype=np.int64)
-                keep = src != dst
-                # Two operands: send each entry of A' and B' once per peer.
-                buf.add(src[keep], dst[keep])
-                buf.add(src[keep], dst[keep])
-        if wise:
-            add_wiseness_dummies(buf, machine.v, label, epv)
-        buf.flush(machine, label)
-    out = []
-    for t in tasks:
-        side = int(round(t.q**0.5))
-        prod = sr.matmul(
-            morton_to_dense(t.a.reshape(side * side)),
-            morton_to_dense(t.b.reshape(side * side)),
-        )
-        out.append(dense_to_morton(prod))
-    return out
+        _emit_level(machine, label, tasks, m, _allgather_pattern(m, q), wise, epv)
+    side = int(round(q**0.5))
+    order = morton_order(side)
+    a_dense = np.empty_like(a)
+    b_dense = np.empty_like(b)
+    a_dense[:, order] = a
+    b_dense[:, order] = b
+    a_dense = a_dense.reshape(tasks, side, side)
+    b_dense = b_dense.reshape(tasks, side, side)
+    prods = np.stack([sr.matmul(a_dense[i], b_dense[i]) for i in range(tasks)])
+    return prods.reshape(tasks, q)[:, order]
 
 
-def _solve(tasks: list[_Task], level: int, machine: ScheduleBuilder, sr: Semiring,
-           wise: bool) -> list[np.ndarray]:
-    m = tasks[0].m
-    epv = tasks[0].q // m if m else 1
+def _solve(a: np.ndarray, b: np.ndarray, m: int, level: int,
+           machine: ScheduleBuilder, sr: Semiring, wise: bool) -> np.ndarray:
+    """Multiply every task of one recursion level at once.
+
+    Row ``i`` of ``a``/``b`` is task ``i``'s Morton-ordered operand; the
+    task runs on segment ``[i*m, (i+1)*m)``.  Returns C, row per task.
+    """
+    tasks, q = a.shape
     if m < 8:
         label = ilog2(machine.v // m) if m > 1 else 0
-        return _base_case(tasks, machine, label, sr, wise, max(1, epv))
+        return _base_case(a, b, m, machine, label, sr, wise, max(1, q // m))
 
     label = 3 * level
-    buf = SendBuffer()
-    all_subtasks: list[_Task] = []
-    for t in tasks:
-        all_subtasks.extend(_replication_messages(t, buf))
-    if wise:
-        add_wiseness_dummies(buf, machine.v, label, 1 << level)
-    buf.flush(machine, label)
+    quarter = q // 4
+    _emit_level(machine, label, tasks, m, _replication_pattern(m, q), wise, 1 << level)
 
-    sub_products = _solve(all_subtasks, level + 1, machine, sr, wise)
+    # Subtask 8i + (4h + 2k + l) runs on segment seg_i + (4h + 2k + l) m/8.
+    sub_a = a.reshape(tasks, 4, quarter)[:, _A_QUADRANT].reshape(8 * tasks, quarter)
+    sub_b = b.reshape(tasks, 4, quarter)[:, _B_QUADRANT].reshape(8 * tasks, quarter)
+    products = _solve(sub_a, sub_b, m // 8, level + 1, machine, sr, wise)
 
-    buf = SendBuffer()
-    results = []
-    for ti, t in enumerate(tasks):
-        results.append(
-            _combine_messages(t, sub_products[8 * ti : 8 * ti + 8], buf, sr)
-        )
-    if wise:
-        add_wiseness_dummies(buf, machine.v, label, 1 << level)
-    buf.flush(machine, label)
-    return results
+    _emit_level(machine, label, tasks, m, _combine_pattern(m, q), wise, 1 << level)
+    # products[i] viewed as (h, k, l, entry): C_hk = M_hk0 + M_hk1.
+    p = products.reshape(tasks, 2, 2, 2, quarter)
+    c = np.empty((tasks, q), dtype=np.result_type(a, b))
+    c.reshape(tasks, 2, 2, quarter)[...] = sr.add(p[:, :, :, 0], p[:, :, :, 1])
+    return c
 
 
 def run(
@@ -239,9 +240,10 @@ def run(
         raise ValueError("n-MM needs side >= 4 (n >= 16)")
 
     builder = ScheduleBuilder(n)
-    root = _Task(0, n, dense_to_morton(A), dense_to_morton(B))
-    (c_morton,) = [_solve([root], 0, builder, semiring, wise)[0]]
-    product = morton_to_dense(c_morton)
+    c_morton = _solve(
+        dense_to_morton(A)[None], dense_to_morton(B)[None], n, 0, builder, semiring, wise
+    )
+    product = morton_to_dense(c_morton[0])
     return MatMulResult.from_schedule(builder.build(), n, product=product)
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.algorithms._common import AlgorithmResult, SendBuffer, add_wiseness_dummies
-from repro.core.theory import stencil_k
+from repro.core.theory import resolve_stencil_k
 from repro.machine.program import ScheduleBuilder
 from repro.util.intmath import ilog2
 
@@ -102,7 +102,7 @@ def generate(n: int, *, k: int | None = None, wise: bool = True,
     """
     ilog2(n)
     v = n * n
-    kk = k if k is not None else stencil_k(n)
+    kk = resolve_stencil_k(n, k)
     builder = ScheduleBuilder(v)
     root = np.array([0], dtype=np.int64)
     levels = 0
@@ -130,6 +130,7 @@ def _api_check(n: int, *, wise: bool = True, k: int | None = None,
                stages: int = STAGES) -> None:
     if n < 2 or n & (n - 1):
         raise ValueError(f"(n,2)-stencil needs power-of-two n >= 2, got n={n}")
+    resolve_stencil_k(n, k)
 
 
 def _api_emit(n: int, rng, *, wise: bool = True, k: int | None = None,

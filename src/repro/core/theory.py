@@ -18,6 +18,7 @@ Theorem 4.13:  ``H_2-stencil = O(n^2/sqrt(p) 8^{sqrt(log n)})`` for sigma = O(n^
 from __future__ import annotations
 
 import math
+import numbers
 
 from repro.util.intmath import ceil_log2, paper_log
 
@@ -31,6 +32,7 @@ __all__ = [
     "h_sort_recurrence",
     "h_sort_closed",
     "stencil_k",
+    "resolve_stencil_k",
     "h_stencil1_closed",
     "h_stencil2_closed",
     "sort_exponent",
@@ -125,6 +127,25 @@ def stencil_k(n: int) -> int:
     if n < 2:
         return 2
     return 1 << max(1, math.ceil(math.sqrt(ceil_log2(n))))
+
+
+def resolve_stencil_k(n: int, k: int | None) -> int:
+    """The fan-out a stencil run uses: ``k`` itself, or :func:`stencil_k`.
+
+    The stripe recursion splits each box ``k`` ways per axis, so ``k``
+    must be a power of two ``>= 2``; anything else raises ``ValueError``
+    (``k = 1`` would never shrink a box, ``k = 0`` divides by zero).
+    """
+    if k is None:
+        return stencil_k(n)
+    if (
+        isinstance(k, bool)
+        or not isinstance(k, numbers.Integral)
+        or k < 2
+        or k & (k - 1)
+    ):
+        raise ValueError(f"stencil fan-out k must be a power of two >= 2, got k={k!r}")
+    return int(k)
 
 
 def h_stencil1_closed(n: float, p: float, sigma: float = 0.0) -> float:

@@ -22,6 +22,7 @@ __all__ = [
     "morton_encode",
     "morton_decode",
     "morton_quadrant",
+    "morton_order",
     "dense_to_morton",
     "morton_to_dense",
 ]
@@ -83,13 +84,23 @@ def morton_quadrant(m: int, size: int) -> tuple[int, int]:
     return q >> 1, q & 1
 
 
+def morton_order(side: int) -> np.ndarray:
+    """Row-major dense index of every Morton index of a ``side x side`` matrix.
+
+    ``morton_order(side)[m] == r * side + c`` where ``(r, c)`` is
+    ``morton_decode(m, side)``, so each layout conversion is one gather or
+    scatter through it.
+    """
+    rows, cols = morton_decode(np.arange(side * side, dtype=np.int64), side)
+    return rows * side + cols
+
+
 def dense_to_morton(a: np.ndarray) -> np.ndarray:
     """Flatten a square matrix into a Morton-ordered vector."""
     side = a.shape[0]
     if a.shape != (side, side):
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    rows, cols = morton_decode(np.arange(side * side), side)
-    return a[rows, cols]
+    return a.reshape(side * side)[morton_order(side)]
 
 
 def morton_to_dense(vec: np.ndarray) -> np.ndarray:
@@ -98,7 +109,6 @@ def morton_to_dense(vec: np.ndarray) -> np.ndarray:
     side = int(round(n**0.5))
     if side * side != n:
         raise ValueError(f"vector length {n} is not a perfect square")
-    rows, cols = morton_decode(np.arange(n), side)
-    out = np.empty((side, side), dtype=vec.dtype)
-    out[rows, cols] = vec
-    return out
+    out = np.empty(n, dtype=vec.dtype)
+    out[morton_order(side)] = vec
+    return out.reshape(side, side)

@@ -9,6 +9,7 @@ from repro.util.morton import (
     dense_to_morton,
     morton_decode,
     morton_encode,
+    morton_order,
     morton_quadrant,
     morton_to_dense,
 )
@@ -84,3 +85,16 @@ class TestDenseConversion:
             dense_to_morton(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             morton_to_dense(np.zeros(5))
+
+
+class TestOrder:
+    def test_order_matches_decode(self):
+        side = 16
+        rows, cols = morton_decode(np.arange(side * side), side)
+        assert np.array_equal(morton_order(side), rows * side + cols)
+
+    def test_conversions_preserve_dtype(self):
+        a = np.arange(16).reshape(4, 4) % 2 == 0
+        v = dense_to_morton(a)
+        assert v.dtype == bool
+        assert np.array_equal(morton_to_dense(v), a)

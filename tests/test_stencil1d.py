@@ -122,3 +122,68 @@ class TestCommunication:
     def test_wiseness(self, rng):
         res = stencil1d.run(rng.random(64))
         assert measured_alpha(TraceMetrics(res.trace), 64) >= 0.2
+
+
+# ----------------------------------------------------------------------
+# The fan-out k: only powers of two >= 2 are accepted, for both stencils
+# ----------------------------------------------------------------------
+class _Deadline:
+    """Raise ``TimeoutError`` if the block runs longer than ``seconds``
+    (k = 1 used to recurse forever, so these cases must not hang)."""
+
+    def __init__(self, seconds: float):
+        self.seconds = seconds
+
+    def __enter__(self):
+        import signal
+
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {self.seconds}s")
+
+        self._previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, self.seconds)
+        return self
+
+    def __exit__(self, *exc):
+        import signal
+
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, self._previous)
+        return False
+
+
+BAD_K = [0, 1, 3, -2]
+
+
+class TestStencilFanoutValidation:
+    @pytest.mark.parametrize("algorithm", ["stencil1d", "stencil2d"])
+    @pytest.mark.parametrize("k", BAD_K)
+    def test_plan_validate_rejects_bad_k(self, algorithm, k):
+        from repro.api import ExperimentPlan
+
+        plan = ExperimentPlan.grid([algorithm], ns=[8], ps=[4], params={"k": k})
+        with _Deadline(10), pytest.raises(ValueError, match="power of two >= 2"):
+            plan.validate()
+
+    @pytest.mark.parametrize("k", BAD_K + [True, 2.0])
+    def test_entry_points_reject_bad_k(self, k):
+        from repro.algorithms import stencil2d
+
+        with _Deadline(10):
+            with pytest.raises(ValueError, match="power of two >= 2"):
+                stencil1d.run(np.ones(8), k=k)
+            with pytest.raises(ValueError, match="power of two >= 2"):
+                stencil1d.evaluate_diamond(8, k=k)
+            with pytest.raises(ValueError, match="power of two >= 2"):
+                stencil2d.generate(8, k=k)
+
+    @pytest.mark.parametrize("algorithm", ["stencil1d", "stencil2d"])
+    @pytest.mark.parametrize("k", [None, 2, 4])
+    def test_valid_k_runs_correct(self, algorithm, k):
+        from repro.api import ExperimentPlan
+
+        params = {} if k is None else {"k": k}
+        plan = ExperimentPlan.grid([algorithm], ns=[8], ps=[4], params=params)
+        plan.validate()
+        frame = plan.run(executor="serial", check=True)
+        assert frame.column("correct") == [True]
